@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channel import NoiseModel, RngStream
-from .detection import FilterMatrix, mmse_filter, zf_filter
+from .channel import NoiseModel, RngStream, _cn_noise
+from .detection import FilterMatrix, mmse_filter, qpsk_modulate, zf_filter
 from .exceptions import DimensionError, FormulaDomainError, SingularMatrixError
 
 #: Relative magnitude below which the MMSE SNR denominator is treated as the
@@ -127,6 +127,56 @@ def cond_ratio_exact(h, noise: NoiseModel) -> CondRatioReport:
     )
 
 
+def _zf_snr(s: np.ndarray, variance: float):
+    """ZF SNR ``N / sum_i(v / s_i^2)`` along the last axis, without validation.
+
+    ``s`` is one spectrum ``(N,)`` or a stack ``(..., N)`` of them; the
+    result has the leading shape.  Zero singular values or zero noise give
+    IEEE infinities or NaNs.
+    """
+    return s.shape[-1] / np.sum(variance / (s * s), axis=-1)
+
+
+def _spectral_sums(s: np.ndarray, variance: float):
+    """Sums ``a``, ``b``, ``c`` of :class:`MmseAbc` along the last axis.
+
+    ``s`` is one spectrum ``(N,)`` or a stack ``(..., N)``; each sum has
+    the leading shape.  No validation.
+    """
+    s2 = s * s
+    t = s2 / (s2 + variance)
+    # On a stack ``** 2`` squares by multiplication; on one spectrum the sum
+    # is a NumPy scalar and ``** 2`` goes through pow(), which may round the
+    # last bit differently.  Both roundings are part of the pinned outputs.
+    a = np.sum(t, axis=-1) ** 2
+    b = np.sum(t * t, axis=-1)
+    c = np.sum(s2 / (s2 + variance) ** 2, axis=-1)
+    return a, b, c
+
+
+def _mmse_snr_terms(s: np.ndarray, variance: float):
+    """Numerator ``a + b`` and denominator ``v (N + 1) c + N b - a`` of the MMSE SNR.
+
+    Evaluated along the last axis of one spectrum ``(N,)`` or a stack
+    ``(..., N)``, without validation.
+    """
+    n = s.shape[-1]
+    a, b, c = _spectral_sums(s, variance)
+    return a + b, variance * (n + 1) * c + n * b - a
+
+
+def _mmse_spectrum(spectrum, noise: NoiseModel) -> np.ndarray:
+    """Validated spectrum on which every ``s_i^2 + v`` is nonzero."""
+    s = linalg.as_spectrum(spectrum)
+    if s[-1] * s[-1] + noise.variance == 0.0:
+        raise SingularMatrixError(
+            "zero singular value with zero noise variance",
+            sigma_min=float(s[-1]),
+            sigma_max=float(s[0]),
+        )
+    return s
+
+
 def snr_zf(spectrum, noise: NoiseModel) -> float:
     """Post-processing SNR of the ZF filter: ``N / sum_i(v / s_i^2)``.
 
@@ -141,29 +191,15 @@ def snr_zf(spectrum, noise: NoiseModel) -> float:
             sigma_min=float(s[-1]),
             sigma_max=float(s[0]),
         )
-    v = noise.variance
-    if v == 0.0:
+    if noise.variance == 0.0:
         return math.inf
-    return s.size / float(np.sum(v / (s * s)))
+    return float(_zf_snr(s, noise.variance))
 
 
 def mmse_abc(spectrum, noise: NoiseModel) -> MmseAbc:
     """Spectral sums ``a``, ``b``, ``c`` for the MMSE post-processing SNR."""
-    s = linalg.as_spectrum(spectrum)
-    v = noise.variance
-    s2 = s * s
-    denom = s2 + v
-    if np.any(denom == 0.0):
-        raise SingularMatrixError(
-            "zero singular value with zero noise variance",
-            sigma_min=float(s[-1]),
-            sigma_max=float(s[0]),
-        )
-    t = s2 / denom
-    a = float(np.sum(t)) ** 2
-    b = float(np.sum(t * t))
-    c = float(np.sum(s2 / (denom * denom)))
-    return MmseAbc(a=a, b=b, c=c)
+    a, b, c = _spectral_sums(_mmse_spectrum(spectrum, noise), noise.variance)
+    return MmseAbc(a=float(a), b=float(b), c=float(c))
 
 
 def snr_mmse(spectrum, noise: NoiseModel) -> float:
@@ -177,12 +213,8 @@ def snr_mmse(spectrum, noise: NoiseModel) -> float:
     :class:`~lindet.exceptions.FormulaDomainError` rather than being
     clamped.
     """
-    s = linalg.as_spectrum(spectrum)
-    n = s.size
-    abc = mmse_abc(s, noise)
-    v = noise.variance
-    numerator = abc.a + abc.b
-    denominator = v * (n + 1) * abc.c + n * abc.b - abc.a
+    s = _mmse_spectrum(spectrum, noise)
+    numerator, denominator = _mmse_snr_terms(s, noise.variance)
     tol = MMSE_DENOMINATOR_RTOL * numerator
     if denominator < -tol:
         raise FormulaDomainError(
@@ -191,7 +223,7 @@ def snr_mmse(spectrum, noise: NoiseModel) -> float:
         )
     if denominator <= tol:
         return math.inf
-    return numerator / denominator
+    return float(numerator / denominator)
 
 
 def gain_db(snr_mmse_lin: float, snr_zf_lin: float) -> float:
@@ -252,16 +284,13 @@ def empirical_distortion_snr(
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = m.shape[0]
     g = rng.generator()
-    scale = math.sqrt(noise.variance * 0.5)
     signal_parts = []
     distortion_parts = []
     remaining = trials
     while remaining > 0:
         block = min(_MC_BLOCK, remaining)
-        bits = g.integers(0, 2, size=(block, n, 2))
-        x = ((1 - 2 * bits[..., 0]) + 1j * (1 - 2 * bits[..., 1])) * math.sqrt(0.5)
-        nz = scale * (g.standard_normal((block, n)) + 1j * g.standard_normal((block, n)))
-        r = x @ m.T + nz
+        x = qpsk_modulate(g.integers(0, 2, size=(block, 2 * n)))
+        r = x @ m.T + _cn_noise((block, n), noise.variance, g)
         y = r @ w.matrix.T
         err = y - x
         signal_parts.append(float(np.sum(np.abs(x) ** 2)))

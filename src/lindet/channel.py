@@ -104,7 +104,12 @@ class ChannelRealization:
 
 
 def complex_gaussian(shape, generator: np.random.Generator) -> np.ndarray:
-    """i.i.d. CN(0, 1) array: real/imaginary parts each have variance 1/2."""
+    """i.i.d. CN(0, 1) array: real/imaginary parts each have variance 1/2.
+
+    ``shape`` may carry leading batch axes: ``(count, n, n)`` draws a stack
+    of ``count`` channels from one generator, all real parts first, so a
+    stack of one equals the single ``(n, n)`` draw bit for bit.
+    """
     re = generator.standard_normal(shape)
     im = generator.standard_normal(shape)
     return (re + 1j * im) * _SQRT_HALF
@@ -192,11 +197,39 @@ def haar_unitary(n: int, generator: np.random.Generator) -> np.ndarray:
     phase of each diagonal scaling factor to be positive real, which makes
     the distribution uniform on the unitary group.
     """
-    z = complex_gaussian((n, n), generator)
+    return _phase_fixed_q(complex_gaussian((n, n), generator))
+
+
+def _phase_fixed_q(z: np.ndarray) -> np.ndarray:
+    """Unitary QR factor of ``z`` with each diagonal entry of R made positive real.
+
+    Works on the last two axes, so ``z`` may be one matrix ``(n, n)`` or a
+    stack ``(..., n, n)``; for i.i.d. CN(0, 1) input every factor is Haar
+    distributed.  A column whose diagonal entry of R is zero is left as is.
+    """
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    phases = np.where(np.abs(d) == 0.0, 1.0, d / np.abs(d))
-    return q * phases
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    mag = np.abs(d)
+    phases = np.where(mag == 0.0, 1.0, d / np.where(mag == 0.0, 1.0, mag))
+    return q * phases[..., None, :]
+
+
+def _spectrum_profile(n: int, cond: float, sigma_min: float, interior: str) -> np.ndarray:
+    """Descending spectrum with ``s[0] = cond * sigma_min`` and ``s[-1] = sigma_min``.
+
+    ``interior`` places the values in between: ``"top"`` pins them to the
+    largest value, ``"geometric"`` spaces them logarithmically.
+    """
+    top = cond * sigma_min
+    if interior == "top":
+        s = np.full(n, top)
+    elif interior == "geometric":
+        s = np.geomspace(top, sigma_min, n)
+        s[0] = top
+    else:
+        raise ValueError(f"unknown interior profile {interior!r}")
+    s[-1] = sigma_min
+    return s
 
 
 def synthesize_spectrum(
@@ -229,15 +262,7 @@ def synthesize_spectrum(
     smin = float(sigma_min)
     if not math.isfinite(smin) or smin <= 0.0:
         raise ValueError(f"sigma_min must be finite and > 0, got {sigma_min!r}")
-    if interior == "top":
-        s = np.full(n, c * smin)
-        s[-1] = smin
-    elif interior == "geometric":
-        s = np.geomspace(c * smin, smin, n)
-        s[0] = c * smin
-        s[-1] = smin
-    else:
-        raise ValueError(f"unknown interior profile {interior!r}")
+    s = _spectrum_profile(n, c, smin, interior)
     g = rng.generator()
     u = haar_unitary(n, g)
     v = haar_unitary(n, g)
@@ -255,10 +280,14 @@ def sample_noise(n: int, noise: NoiseModel, rng: RngStream) -> np.ndarray:
     """Length-n noise vector with i.i.d. CN(0, variance) entries."""
     if n < 1:
         raise DimensionError(f"dimension must be >= 1, got {n}")
-    g = rng.generator()
-    scale = math.sqrt(noise.variance * 0.5)
-    re = g.standard_normal(n)
-    im = g.standard_normal(n)
+    return _cn_noise(n, noise.variance, rng.generator())
+
+
+def _cn_noise(shape, variance: float, generator: np.random.Generator) -> np.ndarray:
+    """i.i.d. CN(0, variance) array; leading axes of ``shape`` are batch axes."""
+    scale = math.sqrt(variance * 0.5)
+    re = generator.standard_normal(shape)
+    im = generator.standard_normal(shape)
     return scale * (re + 1j * im)
 
 

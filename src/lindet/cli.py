@@ -23,6 +23,7 @@ from ._version import __version__
 from .exceptions import LindetError
 from .experiments import (
     ResultTable,
+    _result_table,
     run_ber_sweep,
     run_cond_ratio_sweep,
     run_gain_sweep,
@@ -355,57 +356,23 @@ def _emit(table: ResultTable, opts: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _handle_table1(opts: dict) -> int:
-    table = run_table1(
-        opts["dims"], trials=opts["trials"], master_seed=opts["seed"], workers=opts["workers"]
-    )
-    _emit(table, opts)
-    return 0
+#: command -> (runner, option -> runner keyword), beyond the common three.
+_RUNNERS = {
+    "table1": (run_table1, {"dims": "dims"}),
+    "gain": (run_gain_sweep, {"dims": "dims", "snr": "snr_grid_db"}),
+    "cdf": (run_min_singular_cdf, {"dims": "dims"}),
+    "ber": (run_ber_sweep, {"n": "n", "snr": "snr_grid_db", "sigma_min": "sigma_min_floor"}),
+    "condratio": (
+        run_cond_ratio_sweep,
+        {"n": "n", "cond": "cond_target", "sigma_min": "sigma_min_grid", "snr": "snr_db"},
+    ),
+}
+_RUNNER_COMMON = {"trials": "trials", "seed": "master_seed", "workers": "workers"}
 
 
-def _handle_gain(opts: dict) -> int:
-    table = run_gain_sweep(
-        opts["dims"],
-        opts["snr"],
-        trials=opts["trials"],
-        master_seed=opts["seed"],
-        workers=opts["workers"],
-    )
-    _emit(table, opts)
-    return 0
-
-
-def _handle_cdf(opts: dict) -> int:
-    table = run_min_singular_cdf(
-        opts["dims"], trials=opts["trials"], master_seed=opts["seed"], workers=opts["workers"]
-    )
-    _emit(table, opts)
-    return 0
-
-
-def _handle_ber(opts: dict) -> int:
-    table = run_ber_sweep(
-        opts["n"],
-        opts["snr"],
-        sigma_min_floor=opts["sigma_min"],
-        trials=opts["trials"],
-        master_seed=opts["seed"],
-        workers=opts["workers"],
-    )
-    _emit(table, opts)
-    return 0
-
-
-def _handle_condratio(opts: dict) -> int:
-    table = run_cond_ratio_sweep(
-        opts["n"],
-        opts["cond"],
-        opts["sigma_min"],
-        snr_db=opts["snr"],
-        trials=opts["trials"],
-        master_seed=opts["seed"],
-        workers=opts["workers"],
-    )
+def _handle_runner(command: str, opts: dict) -> int:
+    runner, keywords = _RUNNERS[command]
+    table = runner(**{kw: opts[name] for name, kw in {**keywords, **_RUNNER_COMMON}.items()})
     _emit(table, opts)
     return 0
 
@@ -414,25 +381,11 @@ def _handle_props(opts: dict) -> int:
     results = run_property_suite(opts["seed"])
     for r in results:
         print(("PASS" if r.passed else "FAIL") + f" {r.name}: {r.detail}")
-    table = ResultTable(
-        experiment="props",
-        columns=["name", "passed", "detail"],
-        rows=[
-            {
-                "name": r.name,
-                "passed": int(r.passed),
-                "detail": r.detail,
-                "seed": opts["seed"],
-                "trials": 0,
-            }
-            for r in results
-        ],
-        metadata={
-            "seed": opts["seed"],
-            "trials": 0,
-            "snr_convention": "none",
-            "version": __version__,
-        },
+    table = _result_table(
+        "props",
+        ["name", "passed", "detail"],
+        [{"name": r.name, "passed": int(r.passed), "detail": r.detail} for r in results],
+        opts["seed"], 0, "none",
     )
     if opts["out_explicit"]:
         write_table(table, opts["out"], opts["format"])
@@ -442,16 +395,6 @@ def _handle_props(opts: dict) -> int:
         print(f"{len(failed)} property violation(s)", file=sys.stderr)
         return 2
     return 0
-
-
-_HANDLERS = {
-    "table1": _handle_table1,
-    "gain": _handle_gain,
-    "cdf": _handle_cdf,
-    "ber": _handle_ber,
-    "condratio": _handle_condratio,
-    "props": _handle_props,
-}
 
 
 def run_cli(argv) -> int:
@@ -470,7 +413,9 @@ def run_cli(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _HANDLERS[ns.command](opts)
+        if ns.command == "props":
+            return _handle_props(opts)
+        return _handle_runner(ns.command, opts)
     except (LindetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

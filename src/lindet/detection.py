@@ -36,10 +36,13 @@ class FilterMatrix:
 
 
 def as_bit_block(bits, name="bits") -> np.ndarray:
-    """Coerce to a 1-D integer array of 0/1 values."""
+    """Coerce to an integer array of 0/1 values, bits along the last axis.
+
+    Any leading axes are batch axes; a scalar is rejected.
+    """
     b = np.asarray(bits)
-    if b.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got ndim={b.ndim}")
+    if b.ndim < 1:
+        raise DimensionError(f"{name} must have at least one axis, got a scalar")
     ib = b.astype(np.int64)
     if b.size and (not np.array_equal(ib, b) or not np.all((ib == 0) | (ib == 1))):
         raise ValueError(f"{name} must contain only 0s and 1s")
@@ -47,25 +50,36 @@ def as_bit_block(bits, name="bits") -> np.ndarray:
 
 
 def qpsk_modulate(bits) -> np.ndarray:
-    """Map a bit block to unit-energy QPSK symbols, two bits per symbol."""
+    """Map bits to unit-energy QPSK symbols, two bits per symbol.
+
+    ``bits`` has shape ``(..., 2k)`` and the symbols come back as
+    ``(..., k)``: leading batch axes pass through, so a stack of bit blocks
+    maps in one call.
+    """
     b = as_bit_block(bits)
-    if b.size % 2 != 0:
-        raise DimensionError(f"bit count must be even, got {b.size}")
-    pairs = b.reshape(-1, 2)
-    return ((1 - 2 * pairs[:, 0]) + 1j * (1 - 2 * pairs[:, 1])) * _SQRT_HALF
+    if b.shape[-1] % 2 != 0:
+        raise DimensionError(f"bit count must be even, got {b.shape[-1]}")
+    pairs = b.reshape(*b.shape[:-1], -1, 2)
+    return ((1 - 2 * pairs[..., 0]) + 1j * (1 - 2 * pairs[..., 1])) * _SQRT_HALF
 
 
 def qpsk_slice(y) -> np.ndarray:
     """Hard-decide QPSK bits from filtered symbols: sign of Re then Im.
 
-    Exact inverse of :func:`qpsk_modulate` on noiseless constellation
-    points; a zero real or imaginary part decides bit 0.
+    ``y`` has shape ``(..., k)`` and the bits come back as ``(..., 2k)``;
+    leading batch axes pass through.  Exact inverse of
+    :func:`qpsk_modulate` on noiseless constellation points; a zero real or
+    imaginary part decides bit 0.
     """
-    v = linalg.as_complex_vector(y, name="filter output")
-    bits = np.empty((v.size, 2), dtype=np.int64)
-    bits[:, 0] = v.real < 0.0
-    bits[:, 1] = v.imag < 0.0
-    return bits.reshape(-1)
+    v = np.asarray(y, dtype=np.complex128)
+    if v.ndim < 1:
+        raise DimensionError("filter output must have at least one axis, got a scalar")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("filter output contains non-finite entries")
+    bits = np.empty(v.shape + (2,), dtype=np.int64)
+    bits[..., 0] = v.real < 0.0
+    bits[..., 1] = v.imag < 0.0
+    return bits.reshape(*v.shape[:-1], -1)
 
 
 def zf_filter(h) -> FilterMatrix:
@@ -110,11 +124,9 @@ def equalize_and_slice(w: FilterMatrix, r) -> np.ndarray:
 
 
 def count_bit_errors(sent, received) -> int:
-    """Hamming distance between two equal-length bit blocks."""
+    """Hamming distance between two bit blocks of equal shape."""
     a = as_bit_block(sent, name="sent bits")
     b = as_bit_block(received, name="received bits")
-    if a.size != b.size:
-        raise DimensionError(
-            f"bit blocks differ in length: {a.size} vs {b.size}"
-        )
+    if a.shape != b.shape:
+        raise DimensionError(f"bit blocks differ in shape: {a.shape} vs {b.shape}")
     return int(np.count_nonzero(a != b))

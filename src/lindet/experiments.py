@@ -5,7 +5,9 @@ standard errors.  Trials are partitioned into fixed-size blocks; every
 block derives its own random substream from ``(master_seed, experiment
 tag, grid-point index, block index)`` and blocks are reduced in a fixed
 order with exact summation, so results are bit-identical regardless of the
-worker count and of how blocks are scheduled.
+worker count and of how blocks are scheduled.  This module holds only
+that scheduling and reduction; the maths comes from :mod:`lindet.channel`,
+:mod:`lindet.detection` and :mod:`lindet.analysis`, called on stacks.
 
 Two receive-SNR conventions coexist and are recorded per table:
 
@@ -19,14 +21,24 @@ Two receive-SNR conventions coexist and are recorded per table:
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._version import __version__
-from .analysis import cond_ratio_approx, edelman_tail
-from .channel import DEFAULT_MAX_ATTEMPTS, NoiseModel, RngStream
+from .analysis import _mmse_snr_terms, _zf_snr, cond_ratio_approx, edelman_tail
+from .channel import (
+    DEFAULT_MAX_ATTEMPTS,
+    NoiseModel,
+    RngStream,
+    _cn_noise,
+    _phase_fixed_q,
+    _spectrum_profile,
+    complex_gaussian,
+)
+from .detection import qpsk_modulate, qpsk_slice
 from .exceptions import DimensionError, SamplingExhaustedError
 
 _BLOCK = 8192
@@ -119,7 +131,7 @@ def noise_var_from_inverse_snr(snr_db: float) -> NoiseModel:
 
 
 # ---------------------------------------------------------------------------
-# block scheduling
+# block scheduling and reduction
 # ---------------------------------------------------------------------------
 
 
@@ -131,11 +143,40 @@ def _block_sizes(trials: int, block: int = _BLOCK) -> list[int]:
 
 
 def _run_blocks(worker, tasks: list, workers: int) -> list:
-    """Run block tasks, preserving task order in the returned partials."""
+    """Run block tasks, preserving task order in the returned partials.
+
+    A pool never has more processes than tasks or than CPUs this process
+    may run on.
+    """
     if workers <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks), cpus)) as pool:
         return list(pool.map(worker, tasks))
+
+
+def _run_block(task):
+    kernel, seed, key, args, count = task
+    return kernel(RngStream(seed, key).generator(), *args, count)
+
+
+def _reduce(kernel, seed: int, key_prefix: tuple, args: tuple, trials: int, workers: int) -> list:
+    """Column totals of ``kernel``'s partials over the blocks of one grid point.
+
+    Block ``i`` calls ``kernel(generator, *args, count)`` with the generator
+    of stream ``(seed, key_prefix + (i,))`` and returns a tuple of partial
+    columns.  Integer and count-array columns add exactly and float columns
+    go through ``math.fsum``, so the totals do not depend on ``workers``.
+    """
+    tasks = [
+        (kernel, seed, key_prefix + (i,), args, size)
+        for i, size in enumerate(_block_sizes(trials))
+    ]
+    parts = _run_blocks(_run_block, tasks, workers)
+    return [math.fsum(col) if isinstance(col[0], float) else sum(col) for col in zip(*parts)]
 
 
 def _mean_se(total: float, total_sq: float, count: int) -> tuple[float, float]:
@@ -148,14 +189,27 @@ def _mean_se(total: float, total_sq: float, count: int) -> tuple[float, float]:
     return mean, math.sqrt(var / count)
 
 
-def _complex_gaussian_block(g: np.random.Generator, count: int, n: int) -> np.ndarray:
-    re = g.standard_normal((count, n, n))
-    im = g.standard_normal((count, n, n))
-    return (re + 1j * im) * math.sqrt(0.5)
+def _result_table(
+    experiment: str,
+    columns: list[str],
+    rows: list[dict],
+    seed: int,
+    trials: int,
+    convention: str,
+    **metadata,
+) -> ResultTable:
+    """Table with the standard metadata; every row is stamped with seed and trials."""
+    stamp = {"seed": seed, "trials": trials}
+    return ResultTable(
+        experiment=experiment,
+        columns=columns,
+        rows=[{**row, **stamp} for row in rows],
+        metadata={**stamp, "snr_convention": convention, "version": __version__, **metadata},
+    )
 
 
 def _normalized_block(g: np.random.Generator, count: int, n: int) -> np.ndarray:
-    raw = _complex_gaussian_block(g, count, n)
+    raw = complex_gaussian((count, n, n), g)
     fro = np.linalg.norm(raw, axis=(1, 2))
     return raw * (n / fro)[:, None, None]
 
@@ -165,11 +219,8 @@ def _normalized_block(g: np.random.Generator, count: int, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _table1_block(args):
-    seed, key, n, count = args
-    g = RngStream(seed, key).generator()
-    h = _normalized_block(g, count, n)
-    s = np.linalg.svd(h, compute_uv=False)
+def _table1_block(g, n, count):
+    s = np.linalg.svd(_normalized_block(g, count, n), compute_uv=False)
     smin = s[:, -1]
     cond = s[:, 0] / s[:, -1]
     return (
@@ -189,42 +240,27 @@ def run_table1(dims, trials: int = 10000, master_seed: int = 0, workers: int = 1
     trusted for trial counts of roughly a thousand or more.
     """
     cfg = SimConfig(dims=tuple(dims), trials=trials, master_seed=master_seed, workers=workers)
-    table = ResultTable(
-        experiment="table1",
-        columns=["n", "mean_sigma_min", "se_sigma_min", "mean_cond", "se_cond"],
-        metadata={
-            "seed": cfg.master_seed,
-            "trials": cfg.trials,
-            "snr_convention": "none",
-            "version": __version__,
-            "dims": list(cfg.dims),
-        },
-    )
+    rows = []
     for n in cfg.dims:
-        tasks = [
-            (cfg.master_seed, (_TAG_TABLE1, n, bi), n, size)
-            for bi, size in enumerate(_block_sizes(cfg.trials))
-        ]
-        parts = _run_blocks(_table1_block, tasks, cfg.workers)
-        count = sum(p[0] for p in parts)
-        sum_s = math.fsum(p[1] for p in parts)
-        sum_s2 = math.fsum(p[2] for p in parts)
-        sum_c = math.fsum(p[3] for p in parts)
-        sum_c2 = math.fsum(p[4] for p in parts)
+        count, sum_s, sum_s2, sum_c, sum_c2 = _reduce(
+            _table1_block, cfg.master_seed, (_TAG_TABLE1, n), (n,), cfg.trials, cfg.workers
+        )
         mean_s, se_s = _mean_se(sum_s, sum_s2, count)
         mean_c, se_c = _mean_se(sum_c, sum_c2, count)
-        table.rows.append(
+        rows.append(
             {
                 "n": n,
                 "mean_sigma_min": mean_s,
                 "se_sigma_min": se_s,
                 "mean_cond": mean_c,
                 "se_cond": se_c,
-                "seed": cfg.master_seed,
-                "trials": cfg.trials,
             }
         )
-    return table
+    return _result_table(
+        "table1",
+        ["n", "mean_sigma_min", "se_sigma_min", "mean_cond", "se_cond"],
+        rows, cfg.master_seed, cfg.trials, "none", dims=list(cfg.dims),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -232,29 +268,13 @@ def run_table1(dims, trials: int = 10000, master_seed: int = 0, workers: int = 1
 # ---------------------------------------------------------------------------
 
 
-def _gain_block(args):
-    seed, key, n, variance, count = args
-    g = RngStream(seed, key).generator()
-    h = _normalized_block(g, count, n)
-    s = np.linalg.svd(h, compute_uv=False)
-    s2 = s * s
+def _gain_block(g, n, variance, count):
+    s = np.linalg.svd(_normalized_block(g, count, n), compute_uv=False)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        snr_zf = n / np.sum(variance / s2, axis=1)
-        t = s2 / (s2 + variance)
-        a = np.sum(t, axis=1) ** 2
-        b = np.sum(t * t, axis=1)
-        c = np.sum(s2 / (s2 + variance) ** 2, axis=1)
-        den = variance * (n + 1) * c + n * b - a
-        snr_mmse = (a + b) / den
-        gain = 10.0 * np.log10(snr_mmse / snr_zf)
-    finite = np.isfinite(gain)
-    kept = gain[finite]
-    return (
-        int(np.count_nonzero(finite)),
-        float(np.sum(kept)),
-        float(np.sum(kept * kept)),
-        int(count - np.count_nonzero(finite)),
-    )
+        numerator, denominator = _mmse_snr_terms(s, variance)
+        gain = 10.0 * np.log10(numerator / denominator / _zf_snr(s, variance))
+    kept = gain[np.isfinite(gain)]
+    return (kept.size, float(np.sum(kept)), float(np.sum(kept * kept)), count - kept.size)
 
 
 def run_gain_sweep(
@@ -280,43 +300,30 @@ def run_gain_sweep(
     )
     if not cfg.snr_grid_db:
         raise ValueError("snr_grid_db must be nonempty")
-    table = ResultTable(
-        experiment="gain",
-        columns=["n", "snr_db", "mean_gain_db", "se_gain_db", "n_excluded"],
-        metadata={
-            "seed": cfg.master_seed,
-            "trials": cfg.trials,
-            "snr_convention": CONVENTION_RECEIVE,
-            "version": __version__,
-            "dims": list(cfg.dims),
-            "snr_grid_db": list(cfg.snr_grid_db),
-        },
-    )
+    rows = []
     for n in cfg.dims:
         for si, snr_db in enumerate(cfg.snr_grid_db):
             variance = noise_var_from_snr(snr_db, n).variance
-            tasks = [
-                (cfg.master_seed, (_TAG_GAIN, n, si, bi), n, variance, size)
-                for bi, size in enumerate(_block_sizes(cfg.trials))
-            ]
-            parts = _run_blocks(_gain_block, tasks, cfg.workers)
-            kept = sum(p[0] for p in parts)
-            sum_g = math.fsum(p[1] for p in parts)
-            sum_g2 = math.fsum(p[2] for p in parts)
-            excluded = sum(p[3] for p in parts)
+            kept, sum_g, sum_g2, excluded = _reduce(
+                _gain_block, cfg.master_seed, (_TAG_GAIN, n, si), (n, variance),
+                cfg.trials, cfg.workers,
+            )
             mean_g, se_g = _mean_se(sum_g, sum_g2, kept)
-            table.rows.append(
+            rows.append(
                 {
                     "n": n,
                     "snr_db": snr_db,
                     "mean_gain_db": mean_g,
                     "se_gain_db": se_g,
                     "n_excluded": excluded,
-                    "seed": cfg.master_seed,
-                    "trials": cfg.trials,
                 }
             )
-    return table
+    return _result_table(
+        "gain",
+        ["n", "snr_db", "mean_gain_db", "se_gain_db", "n_excluded"],
+        rows, cfg.master_seed, cfg.trials, CONVENTION_RECEIVE,
+        dims=list(cfg.dims), snr_grid_db=list(cfg.snr_grid_db),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -324,27 +331,17 @@ def run_gain_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _cdf_block(args):
-    seed, key, n, grid, count = args
-    g = RngStream(seed, key).generator()
-    h = _normalized_block(g, count, n)
-    smin = np.linalg.svd(h, compute_uv=False)[:, -1]
-    grid_arr = np.asarray(grid)
-    below = np.count_nonzero(smin[:, None] <= grid_arr[None, :], axis=0)
-    return (count, below.astype(np.int64))
+def _cdf_block(g, n, grid, count):
+    smin = np.linalg.svd(_normalized_block(g, count, n), compute_uv=False)[:, -1]
+    return (count, np.count_nonzero(smin[:, None] <= np.asarray(grid)[None, :], axis=0))
 
 
-def _edelman_block(args):
-    seed, key, n, tail_grid, count = args
-    g = RngStream(seed, key).generator()
+def _edelman_block(g, n, tail_grid, count):
     # Real Gaussian entries with variance 1/n: the ensemble whose scaled
     # minimum singular value has the exp(-x - x^2/2) limit law.
     raw = g.standard_normal((count, n, n)) / math.sqrt(n)
-    smin = np.linalg.svd(raw, compute_uv=False)[:, -1]
-    scaled = n * smin
-    grid_arr = np.asarray(tail_grid)
-    at_least = np.count_nonzero(scaled[:, None] >= grid_arr[None, :], axis=0)
-    return (count, at_least.astype(np.int64))
+    scaled = n * np.linalg.svd(raw, compute_uv=False)[:, -1]
+    return (count, np.count_nonzero(scaled[:, None] >= np.asarray(tail_grid)[None, :], axis=0))
 
 
 def run_min_singular_cdf(
@@ -369,62 +366,33 @@ def run_min_singular_cdf(
     tail_grid = tuple(float(x) for x in tail_grid)
     if not grid or not tail_grid:
         raise ValueError("grid and tail_grid must be nonempty")
-    table = ResultTable(
-        experiment="cdf",
-        columns=["statistic", "n", "x", "value", "se", "reference"],
-        metadata={
-            "seed": cfg.master_seed,
-            "trials": cfg.trials,
-            "snr_convention": "none",
-            "version": __version__,
-            "dims": list(cfg.dims),
-        },
+    n_tail = max(cfg.dims)
+    sweeps = [
+        ("cdf_sigma_min", n, grid, _cdf_block, _TAG_CDF, None) for n in cfg.dims
+    ]
+    sweeps.append(
+        ("tail_scaled_sigma_min", n_tail, tail_grid, _edelman_block, _TAG_EDELMAN, edelman_tail)
     )
-    for n in cfg.dims:
-        tasks = [
-            (cfg.master_seed, (_TAG_CDF, n, bi), n, grid, size)
-            for bi, size in enumerate(_block_sizes(cfg.trials))
-        ]
-        parts = _run_blocks(_cdf_block, tasks, cfg.workers)
-        count = sum(p[0] for p in parts)
-        below = np.sum([p[1] for p in parts], axis=0)
-        for x, k in zip(grid, below):
+    rows = []
+    for statistic, n, xs, kernel, tag, reference in sweeps:
+        count, hits = _reduce(kernel, cfg.master_seed, (tag, n), (n, xs), cfg.trials, cfg.workers)
+        for x, k in zip(xs, hits):
             p = float(k / count)
-            table.rows.append(
+            rows.append(
                 {
-                    "statistic": "cdf_sigma_min",
+                    "statistic": statistic,
                     "n": n,
                     "x": x,
                     "value": p,
                     "se": math.sqrt(p * (1.0 - p) / count),
-                    "reference": None,
-                    "seed": cfg.master_seed,
-                    "trials": cfg.trials,
+                    "reference": reference(x) if reference else None,
                 }
             )
-    n_tail = max(cfg.dims)
-    tasks = [
-        (cfg.master_seed, (_TAG_EDELMAN, n_tail, bi), n_tail, tail_grid, size)
-        for bi, size in enumerate(_block_sizes(cfg.trials))
-    ]
-    parts = _run_blocks(_edelman_block, tasks, cfg.workers)
-    count = sum(p[0] for p in parts)
-    at_least = np.sum([p[1] for p in parts], axis=0)
-    for x, k in zip(tail_grid, at_least):
-        p = float(k / count)
-        table.rows.append(
-            {
-                "statistic": "tail_scaled_sigma_min",
-                "n": n_tail,
-                "x": x,
-                "value": p,
-                "se": math.sqrt(p * (1.0 - p) / count),
-                "reference": edelman_tail(x),
-                "seed": cfg.master_seed,
-                "trials": cfg.trials,
-            }
-        )
-    return table
+    return _result_table(
+        "cdf",
+        ["statistic", "n", "x", "value", "se", "reference"],
+        rows, cfg.master_seed, cfg.trials, "none", dims=list(cfg.dims),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +400,7 @@ def run_min_singular_cdf(
 # ---------------------------------------------------------------------------
 
 
-def _ber_block(args):
-    seed, key, n, variance, floor, max_attempts, count = args
-    g = RngStream(seed, key).generator()
+def _ber_block(g, n, variance, floor, max_attempts, count):
     h = _normalized_block(g, count, n)
     if floor > 0.0:
         attempts = 1
@@ -452,24 +418,17 @@ def _ber_block(args):
                     attempts=max_attempts,
                 )
             h[bad] = _normalized_block(g, n_bad, n)
-    bits = g.integers(0, 2, size=(count, n, 2))
-    x = ((1 - 2 * bits[..., 0]) + 1j * (1 - 2 * bits[..., 1])) * math.sqrt(0.5)
-    noise = math.sqrt(variance / 2.0) * (
-        g.standard_normal((count, n)) + 1j * g.standard_normal((count, n))
-    )
+    bits = g.integers(0, 2, size=(count, 2 * n))
+    x = qpsk_modulate(bits)
+    noise = _cn_noise((count, n), variance, g)
     # Both detectors see the identical (H, x, n) triple per trial.
     r = np.einsum("bij,bj->bi", h, x) + noise
     hh = h.conj().transpose(0, 2, 1)
     gram = hh @ h
     w_zf = np.linalg.solve(gram, hh)
     w_mmse = np.linalg.solve(gram + variance * np.eye(n), hh)
-    y_zf = np.einsum("bij,bj->bi", w_zf, r)
-    y_mmse = np.einsum("bij,bj->bi", w_mmse, r)
-    hat_zf = np.stack([y_zf.real < 0, y_zf.imag < 0], axis=-1)
-    hat_mmse = np.stack([y_mmse.real < 0, y_mmse.imag < 0], axis=-1)
-    sent = bits.astype(bool)
-    k_zf = np.count_nonzero(hat_zf != sent, axis=(1, 2)).astype(np.int64)
-    k_mmse = np.count_nonzero(hat_mmse != sent, axis=(1, 2)).astype(np.int64)
+    k_zf = np.count_nonzero(qpsk_slice(np.einsum("bij,bj->bi", w_zf, r)) != bits, axis=1)
+    k_mmse = np.count_nonzero(qpsk_slice(np.einsum("bij,bj->bi", w_mmse, r)) != bits, axis=1)
     diff = k_zf - k_mmse
     return (
         count,
@@ -514,48 +473,27 @@ def run_ber_sweep(
     if not cfg.snr_grid_db:
         raise ValueError("snr_grid_db must be nonempty")
     floor = float(sigma_min_floor)
-    table = ResultTable(
-        experiment="ber",
-        columns=[
-            "detector",
-            "snr_db",
-            "ber",
-            "bit_errors",
-            "bits",
-            "se_ber",
-            "se_paired_diff",
-            "low_confidence",
-        ],
-        metadata={
-            "seed": cfg.master_seed,
-            "trials": cfg.trials,
-            "snr_convention": CONVENTION_RECEIVE,
-            "version": __version__,
-            "n": n,
-            "sigma_min_floor": floor,
-            "snr_grid_db": list(cfg.snr_grid_db),
-        },
-    )
+    if floor >= math.sqrt(n):
+        # sum(s_i^2) = N^2 forces sigma_N <= sqrt(N); no draw can clear the floor.
+        raise SamplingExhaustedError(
+            f"sigma_min floor {floor} is unattainable: normalized {n}x{n} channels "
+            f"have sigma_min <= sqrt({n}) = {math.sqrt(n):.6g}",
+            attempts=0,
+        )
+    rows = []
     bits_per_trial = 2 * n
     for si, snr_db in enumerate(cfg.snr_grid_db):
         variance = noise_var_from_snr(snr_db, n).variance
-        tasks = [
-            (cfg.master_seed, (_TAG_BER, si, bi), n, variance, floor, max_attempts, size)
-            for bi, size in enumerate(_block_sizes(cfg.trials))
-        ]
-        parts = _run_blocks(_ber_block, tasks, cfg.workers)
-        count = sum(p[0] for p in parts)
-        sum_z = sum(p[1] for p in parts)
-        sumsq_z = sum(p[2] for p in parts)
-        sum_m = sum(p[3] for p in parts)
-        sumsq_m = sum(p[4] for p in parts)
-        sumsq_d = sum(p[5] for p in parts)
+        count, sum_z, sumsq_z, sum_m, sumsq_m, sumsq_d = _reduce(
+            _ber_block, cfg.master_seed, (_TAG_BER, si), (n, variance, floor, max_attempts),
+            cfg.trials, cfg.workers,
+        )
         total_bits = count * bits_per_trial
         _, se_kd = _mean_se(float(sum_z - sum_m), float(sumsq_d), count)
         se_paired = se_kd / bits_per_trial if count > 1 else math.nan
         for detector, errors, sumsq in (("zf", sum_z, sumsq_z), ("mmse", sum_m, sumsq_m)):
             _, se_k = _mean_se(float(errors), float(sumsq), count)
-            table.rows.append(
+            rows.append(
                 {
                     "detector": detector,
                     "snr_db": snr_db,
@@ -565,11 +503,23 @@ def run_ber_sweep(
                     "se_ber": se_k / bits_per_trial if count > 1 else math.nan,
                     "se_paired_diff": se_paired,
                     "low_confidence": int(errors < LOW_CONFIDENCE_ERRORS),
-                    "seed": cfg.master_seed,
-                    "trials": cfg.trials,
                 }
             )
-    return table
+    return _result_table(
+        "ber",
+        [
+            "detector",
+            "snr_db",
+            "ber",
+            "bit_errors",
+            "bits",
+            "se_ber",
+            "se_paired_diff",
+            "low_confidence",
+        ],
+        rows, cfg.master_seed, cfg.trials, CONVENTION_RECEIVE,
+        n=n, sigma_min_floor=floor, snr_grid_db=list(cfg.snr_grid_db),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -577,22 +527,10 @@ def run_ber_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _haar_block(g: np.random.Generator, count: int, n: int) -> np.ndarray:
-    z = _complex_gaussian_block(g, count, n)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    mag = np.abs(d)
-    phases = np.where(mag == 0.0, 1.0, d / np.where(mag == 0.0, 1.0, mag))
-    return q * phases[:, None, :]
-
-
-def _cond_ratio_block(args):
-    seed, key, n, spectrum, variance, count = args
-    g = RngStream(seed, key).generator()
-    s = np.asarray(spectrum)
-    u = _haar_block(g, count, n)
-    v = _haar_block(g, count, n)
-    h = (u * s[None, None, :]) @ v.conj().transpose(0, 2, 1)
+def _cond_ratio_block(g, n, spectrum, variance, count):
+    u = _phase_fixed_q(complex_gaussian((count, n, n), g))
+    v = _phase_fixed_q(complex_gaussian((count, n, n), g))
+    h = (u * spectrum[None, None, :]) @ v.conj().transpose(0, 2, 1)
     hh = h.conj().transpose(0, 2, 1)
     gram = hh @ h
     w_zf = np.linalg.solve(gram, hh)
@@ -643,56 +581,15 @@ def run_cond_ratio_sweep(
         raise ValueError("sigma_min_grid values must be > 0")
     variance = noise_var_from_inverse_snr(snr_db).variance
     noise = NoiseModel(variance)
-    table = ResultTable(
-        experiment="condratio",
-        columns=[
-            "sigma_min",
-            "mean_exact_ratio",
-            "se_exact_ratio",
-            "approx_ratio",
-            "mean_cond_w_zf",
-            "mean_cond_w_mmse",
-        ],
-        metadata={
-            "seed": cfg.master_seed,
-            "trials": cfg.trials,
-            "snr_convention": CONVENTION_INVERSE,
-            "version": __version__,
-            "n": n,
-            "cond_target": cfg.cond_target,
-            "snr_db": float(snr_db),
-            "interior": interior,
-        },
-    )
+    rows = []
     for gi, sigma_min in enumerate(cfg.sigma_min_grid):
-        if interior == "top":
-            spectrum = np.full(n, cfg.cond_target * sigma_min)
-            spectrum[-1] = sigma_min
-        elif interior == "geometric":
-            spectrum = np.geomspace(cfg.cond_target * sigma_min, sigma_min, n)
-            spectrum[0] = cfg.cond_target * sigma_min
-            spectrum[-1] = sigma_min
-        else:
-            raise ValueError(f"unknown interior profile {interior!r}")
-        tasks = [
-            (
-                cfg.master_seed,
-                (_TAG_CONDRATIO, gi, bi),
-                n,
-                tuple(spectrum),
-                variance,
-                size,
-            )
-            for bi, size in enumerate(_block_sizes(cfg.trials))
-        ]
-        parts = _run_blocks(_cond_ratio_block, tasks, cfg.workers)
-        count = sum(p[0] for p in parts)
-        sum_r = math.fsum(p[1] for p in parts)
-        sum_r2 = math.fsum(p[2] for p in parts)
-        sum_cz = math.fsum(p[3] for p in parts)
-        sum_cm = math.fsum(p[4] for p in parts)
+        spectrum = _spectrum_profile(n, cfg.cond_target, sigma_min, interior)
+        count, sum_r, sum_r2, sum_cz, sum_cm = _reduce(
+            _cond_ratio_block, cfg.master_seed, (_TAG_CONDRATIO, gi), (n, spectrum, variance),
+            cfg.trials, cfg.workers,
+        )
         mean_r, se_r = _mean_se(sum_r, sum_r2, count)
-        table.rows.append(
+        rows.append(
             {
                 "sigma_min": sigma_min,
                 "mean_exact_ratio": mean_r,
@@ -702,8 +599,18 @@ def run_cond_ratio_sweep(
                 ),
                 "mean_cond_w_zf": sum_cz / count,
                 "mean_cond_w_mmse": sum_cm / count,
-                "seed": cfg.master_seed,
-                "trials": cfg.trials,
             }
         )
-    return table
+    return _result_table(
+        "condratio",
+        [
+            "sigma_min",
+            "mean_exact_ratio",
+            "se_exact_ratio",
+            "approx_ratio",
+            "mean_cond_w_zf",
+            "mean_cond_w_mmse",
+        ],
+        rows, cfg.master_seed, cfg.trials, CONVENTION_INVERSE,
+        n=n, cond_target=cfg.cond_target, snr_db=float(snr_db), interior=interior,
+    )

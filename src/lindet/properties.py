@@ -31,10 +31,6 @@ def _result(name: str, passed: bool, detail: str) -> PropertyResult:
     return PropertyResult(name=name, passed=bool(passed), detail=detail)
 
 
-def _random_square(g: np.random.Generator, n: int) -> np.ndarray:
-    return complex_gaussian((n, n), g)
-
-
 def check_weyl_validity(master_seed: int = 101, pairs: int = 1000) -> PropertyResult:
     """Every eigenvalue of a PSD sum dominates its Weyl lower bound.
 
@@ -47,8 +43,8 @@ def check_weyl_validity(master_seed: int = 101, pairs: int = 1000) -> PropertyRe
     violations = 0
     for _ in range(pairs):
         n = int(g.integers(2, 9))
-        sigma = linalg.gram(_random_square(g, n))
-        delta = linalg.gram(_random_square(g, n))
+        sigma = linalg.gram(complex_gaussian((n, n), g))
+        delta = linalg.gram(complex_gaussian((n, n), g))
         spec_sigma = linalg.singular_values(sigma)
         spec_delta = linalg.singular_values(delta)
         spec_sum = linalg.singular_values(sigma + delta)
@@ -71,7 +67,7 @@ def check_gram_spectrum_identity(master_seed: int = 102, matrices: int = 200) ->
     worst = 0.0
     for _ in range(matrices):
         n = int(g.integers(2, 9))
-        h = _random_square(g, n)
+        h = complex_gaussian((n, n), g)
         s = linalg.singular_values(h)
         s_gram = linalg.singular_values(linalg.gram(h))
         worst = max(worst, float(np.max(np.abs(s_gram - s * s) / (s * s))))
@@ -88,7 +84,7 @@ def check_inverse_condition_identity(master_seed: int = 103, matrices: int = 200
     worst = 0.0
     for _ in range(matrices):
         n = int(g.integers(2, 9))
-        h = _random_square(g, n)
+        h = complex_gaussian((n, n), g)
         c = linalg.condition_number(h)
         c_inv = linalg.condition_number(linalg.inverse(h))
         worst = max(worst, abs(c - c_inv) / c)
@@ -107,7 +103,7 @@ def check_svd_contracts(master_seed: int = 104, matrices: int = 200) -> Property
     worst = 0.0
     for k in range(matrices):
         n = dims[k % len(dims)]
-        h = _random_square(g, n)
+        h = complex_gaussian((n, n), g)
         res = linalg.svd(h)
         eye = np.eye(n)
         uni_u = np.linalg.norm(res.u.conj().T @ res.u - eye)
@@ -129,7 +125,7 @@ def check_mmse_zero_noise_reduces_to_zf(master_seed: int = 105, matrices: int = 
     worst = 0.0
     for _ in range(matrices):
         n = int(g.integers(2, 7))
-        h = _random_square(g, n)
+        h = complex_gaussian((n, n), g)
         w_zf = detection.zf_filter(h).matrix
         w_mmse = detection.mmse_filter(h, NoiseModel(0.0)).matrix
         worst = max(worst, float(np.linalg.norm(w_mmse - w_zf) / np.linalg.norm(w_zf)))
@@ -184,7 +180,7 @@ def check_cond_ratio_bounds(master_seed: int = 108, matrices: int = 200) -> Prop
     worst_approx = 0.0
     for _ in range(matrices):
         n = int(g.integers(2, 7))
-        h = normalize(_random_square(g, n)).matrix
+        h = normalize(complex_gaussian((n, n), g)).matrix
         variance = float(g.uniform(1e-3, 5.0))
         report = analysis.cond_ratio_exact(h, NoiseModel(variance))
         worst_exact = max(worst_exact, report.exact_ratio - 1.0)
@@ -203,7 +199,7 @@ def check_identity_shift_tightness(master_seed: int = 109, matrices: int = 100) 
     worst = 0.0
     for _ in range(matrices):
         n = int(g.integers(2, 9))
-        sigma = linalg.gram(_random_square(g, n))
+        sigma = linalg.gram(complex_gaussian((n, n), g))
         variance = float(g.uniform(1e-3, 5.0))
         shifted = linalg.singular_values(sigma + variance * np.eye(n))
         expected = linalg.singular_values(sigma) + variance
@@ -238,7 +234,7 @@ def check_eq_power_normalization(master_seed: int = 111, matrices: int = 200) ->
     worst = 0.0
     for _ in range(matrices):
         n = int(g.integers(2, 9))
-        real = normalize(_random_square(g, n))
+        real = normalize(complex_gaussian((n, n), g))
         total = float(np.sum(real.spectrum**2))
         worst = max(worst, abs(total - n * n) / (n * n))
     return _result(
@@ -260,7 +256,7 @@ def check_distortion_oracle(master_seed: int = 112, replicates: int = 16, trials
     g = RngStream(master_seed).generator()
     channels = [("diag", h_diag)]
     for k in range(2):
-        channels.append((f"random{k}", normalize(_random_square(g, 4)).matrix))
+        channels.append((f"random{k}", normalize(complex_gaussian((4, 4), g)).matrix))
 
     details = []
     ok = True

@@ -176,6 +176,26 @@ class TestSnrMmse:
         assert ratios[-1] <= 1.0 + 1e-4
 
 
+class TestBatchedSnrKernels:
+    def test_stack_matches_scalar_api(self):
+        g = RngStream(67).generator()
+        spectra = -np.sort(-g.uniform(0.05, 3.0, size=(7, 5)), axis=1)
+        v = 0.2
+        zf = analysis._zf_snr(spectra, v)
+        numerator, denominator = analysis._mmse_snr_terms(spectra, v)
+        a, b, c = analysis._spectral_sums(spectra, v)
+        assert zf.shape == numerator.shape == a.shape == (7,)
+        for k, s in enumerate(spectra):
+            noise = NoiseModel(v)
+            assert zf[k] == analysis.snr_zf(s, noise)
+            # a stack squares sum(t) by multiplication, one spectrum by pow()
+            abc = analysis.mmse_abc(s, noise)
+            assert (a[k], b[k], c[k]) == pytest.approx((abc.a, abc.b, abc.c), rel=1e-15)
+            assert numerator[k] / denominator[k] == pytest.approx(
+                analysis.snr_mmse(s, noise), rel=1e-13
+            )
+
+
 class TestGainDb:
     def test_equal_inputs(self):
         assert analysis.gain_db(3.7, 3.7) == pytest.approx(0.0)

@@ -63,6 +63,33 @@ class TestStandardGaussian:
             channel.sample_standard_gaussian(0, RngStream(1))
 
 
+class TestBatchedKernels:
+    def test_stack_of_one_equals_single_draw(self):
+        single = channel.complex_gaussian((3, 3), RngStream(4).generator())
+        stack = channel.complex_gaussian((1, 3, 3), RngStream(4).generator())
+        np.testing.assert_array_equal(stack[0], single)
+
+    def test_phase_fixed_q_of_a_stack(self):
+        z = channel.complex_gaussian((5, 4, 4), RngStream(6).generator())
+        q = channel._phase_fixed_q(z)
+        for k in range(5):
+            np.testing.assert_allclose(q[k].conj().T @ q[k], np.eye(4), atol=1e-12)
+            # Q^H z is upper triangular with a positive real diagonal
+            d = np.diagonal(q[k].conj().T @ z[k])
+            assert np.all(d.real > 0) and np.allclose(d.imag, 0.0, atol=1e-12)
+            np.testing.assert_array_equal(q[k], channel._phase_fixed_q(z[k]))
+
+    def test_spectrum_profiles(self):
+        np.testing.assert_array_equal(
+            channel._spectrum_profile(4, 10.0, 0.1, "top"), [1.0, 1.0, 1.0, 0.1]
+        )
+        geo = channel._spectrum_profile(3, 100.0, 0.01, "geometric")
+        np.testing.assert_allclose(geo, [1.0, 0.1, 0.01])
+        assert geo[0] == 1.0 and geo[-1] == 0.01
+        with pytest.raises(ValueError):
+            channel._spectrum_profile(3, 2.0, 0.1, "linear")
+
+
 class TestNormalize:
     def test_identity_scales_to_sqrt2(self):
         real = channel.normalize(np.eye(2))

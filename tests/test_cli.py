@@ -45,6 +45,13 @@ class TestExitCodes:
     def test_bad_format(self, capsys):
         assert run(["table1", "--format", "xml"]) == 1
 
+    def test_unattainable_floor_fails_fast(self, capsys, tmp_path, monkeypatch):
+        # sigma_N <= sqrt(N) = 2 for normalized 4x4 channels; no block may run
+        monkeypatch.chdir(tmp_path)
+        assert run(["ber", "--n", "4", "--sigma-min", "2.5"]) == 2
+        assert "unattainable" in capsys.readouterr().err
+        assert not (tmp_path / "ber.csv").exists()
+
     def test_unwritable_output_is_runtime_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = run(

@@ -44,7 +44,29 @@ class TestQpskModulate:
             detection.qpsk_modulate([0.5, 0.5])
 
 
+    def test_batch_axes_map_row_by_row(self):
+        bits = RngStream(4).generator().integers(0, 2, size=(3, 5, 8))
+        x = detection.qpsk_modulate(bits)
+        assert x.shape == (3, 5, 4)
+        np.testing.assert_array_equal(x[2, 1], detection.qpsk_modulate(bits[2, 1]))
+
+    def test_odd_last_axis_raises(self):
+        with pytest.raises(DimensionError):
+            detection.qpsk_modulate(np.zeros((4, 3), dtype=int))
+
+
 class TestQpskSlice:
+    def test_batch_round_trip(self):
+        bits = RngStream(5).generator().integers(0, 2, size=(6, 10))
+        np.testing.assert_array_equal(
+            detection.qpsk_slice(detection.qpsk_modulate(bits)), bits
+        )
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            detection.qpsk_slice([[1.0, math.nan]])
+
+
     def test_sign_rule(self):
         np.testing.assert_array_equal(detection.qpsk_slice([0.9 - 0.2j]), [0, 1])
 

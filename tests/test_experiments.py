@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from lindet import analysis
+from lindet import analysis, experiments
 from lindet.exceptions import DimensionError, SamplingExhaustedError
 from lindet.experiments import (
     SimConfig,
@@ -196,6 +196,15 @@ class TestRunBerSweep:
                 4, [10.0], sigma_min_floor=10.0, trials=64, master_seed=1, max_attempts=5
             )
 
+    def test_unattainable_floor_raises_before_any_block(self, monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(experiments, "_run_blocks", no_blocks)
+        with pytest.raises(SamplingExhaustedError) as err:
+            run_ber_sweep(4, [10.0], sigma_min_floor=2.0, trials=10**9)
+        assert err.value.attempts == 0
+
     def test_floored_sweep_runs(self):
         floored = run_ber_sweep(4, [20.0], sigma_min_floor=0.3, trials=10000, master_seed=13)
         unfloored = run_ber_sweep(4, [20.0], trials=10000, master_seed=13)
@@ -239,3 +248,52 @@ class TestRunCondRatioSweep:
         a = run_cond_ratio_sweep(4, 15.0, [0.1, 0.3], trials=48, master_seed=8)
         b = run_cond_ratio_sweep(4, 15.0, [0.1, 0.3], trials=48, master_seed=8, workers=2)
         assert a.rows == b.rows
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs tasks inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+class TestRunBlocks:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+        _RecordingPool.sizes = []
+        return _RecordingPool
+
+    def test_pool_capped_at_usable_cpus(self, pool, monkeypatch):
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        out = experiments._run_blocks(abs, list(range(-50, 0)), workers=100000)
+        assert out == list(range(50, 0, -1))
+        assert pool.sizes == [3]
+
+    def test_pool_capped_at_task_count(self, pool, monkeypatch):
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(64)))
+        experiments._run_blocks(abs, [-1, -2, -3], workers=8)
+        assert pool.sizes == [3]
+
+    def test_cpu_count_fallback(self, pool, monkeypatch):
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        experiments._run_blocks(abs, list(range(10)), workers=100000)
+        assert pool.sizes == [2]
+
+    def test_huge_worker_request_through_a_runner(self, pool, monkeypatch):
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+        capped = run_gain_sweep([2], [10.0], trials=9000, master_seed=4, workers=100000)
+        assert pool.sizes == [2]
+        assert capped.rows == run_gain_sweep([2], [10.0], trials=9000, master_seed=4).rows
