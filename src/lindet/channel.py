@@ -29,9 +29,6 @@ from .exceptions import (
 #: Default rejection budget for floored sampling.
 DEFAULT_MAX_ATTEMPTS = 10**6
 
-_SQRT_HALF = math.sqrt(0.5)
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Additive white Gaussian noise with per-entry variance ``variance``.
@@ -110,9 +107,7 @@ def complex_gaussian(shape, generator: np.random.Generator) -> np.ndarray:
     of ``count`` channels from one generator, all real parts first, so a
     stack of one equals the single ``(n, n)`` draw bit for bit.
     """
-    re = generator.standard_normal(shape)
-    im = generator.standard_normal(shape)
-    return (re + 1j * im) * _SQRT_HALF
+    return _cn_noise(shape, 1.0, generator)
 
 
 def sample_standard_gaussian(n: int, rng: RngStream) -> np.ndarray:
@@ -133,9 +128,7 @@ def normalize(h) -> ChannelRealization:
     DegenerateInputError
         If ``h`` is all zero.
     """
-    m = linalg.as_complex_matrix(h, name="channel")
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"channel must be square, got shape {m.shape}")
+    m = linalg._require_square(linalg.as_complex_matrix(h, name="channel"), "channel")
     fro = float(np.linalg.norm(m))
     if fro == 0.0:
         raise DegenerateInputError("cannot normalize an all-zero channel")
@@ -232,6 +225,18 @@ def _spectrum_profile(n: int, cond: float, sigma_min: float, interior: str) -> n
     return s
 
 
+def _synthesized_stack(spectrum: np.ndarray, count: int, generator: np.random.Generator):
+    """Stack ``(count, n, n)`` of channels ``U diag(spectrum) V^H``.
+
+    ``U`` and ``V`` are independent Haar unitaries: all of the stack's ``U``
+    draws come first, then all of its ``V`` draws.
+    """
+    n = spectrum.size
+    u = _phase_fixed_q(complex_gaussian((count, n, n), generator))
+    v = _phase_fixed_q(complex_gaussian((count, n, n), generator))
+    return (u * spectrum) @ v.conj().swapaxes(-1, -2)
+
+
 def synthesize_spectrum(
     n: int,
     cond: float,
@@ -263,12 +268,8 @@ def synthesize_spectrum(
     if not math.isfinite(smin) or smin <= 0.0:
         raise ValueError(f"sigma_min must be finite and > 0, got {sigma_min!r}")
     s = _spectrum_profile(n, c, smin, interior)
-    g = rng.generator()
-    u = haar_unitary(n, g)
-    v = haar_unitary(n, g)
-    h = (u * s) @ v.conj().T
     return ChannelRealization(
-        matrix=h,
+        matrix=_synthesized_stack(s, 1, rng.generator())[0],
         spectrum=s,
         provenance="synthesized",
         sigma_min=smin,

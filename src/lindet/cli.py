@@ -49,14 +49,6 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _to_int(text: str) -> int:
-    return int(text)
-
-
-def _to_float(text: str) -> float:
-    return float(text)
-
-
 def _to_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
@@ -104,54 +96,47 @@ def _to_snr_grid(text: str) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# option schema and config-file merging
+# option table and config-file merging
 # ---------------------------------------------------------------------------
 
-# name -> (converter, default); None defaults are resolved in _resolve_options.
-_COMMON = {
-    "seed": (_to_int, None),  # resolved against LINDET_SEED afterwards
-    "out": (str, None),
-    "format": (str, "csv"),
-    "workers": (_to_int, 1),
-    "emit_plot": (_to_bool, False),
+_SEED = ("master_seed", int)
+_COMMON = {"trials": ("trials", int), "seed": _SEED, "workers": ("workers", int)}
+
+#: command -> (runner, option -> (runner keyword, converter)).  The runner's
+#: signature owns every default: an option set by neither a flag nor
+#: ``--config`` is not passed.  ``props`` has no blocks to schedule, so it
+#: checks ``--workers`` and passes it nowhere (keyword None).
+_COMMANDS = {
+    "table1": (run_table1, {"dims": ("dims", _to_dims), **_COMMON}),
+    "gain": (
+        run_gain_sweep,
+        {"dims": ("dims", _to_dims), "snr": ("snr_grid_db", _to_snr_grid), **_COMMON},
+    ),
+    "cdf": (run_min_singular_cdf, {"dims": ("dims", _to_dims), **_COMMON}),
+    "ber": (
+        run_ber_sweep,
+        {
+            "n": ("n", int),
+            "snr": ("snr_grid_db", _to_snr_grid),
+            "sigma_min": ("sigma_min_floor", float),
+            **_COMMON,
+        },
+    ),
+    "condratio": (
+        run_cond_ratio_sweep,
+        {
+            "n": ("n", int),
+            "cond": ("cond_target", float),
+            "sigma_min": ("sigma_min_grid", _to_float_list),
+            "snr": ("snr_db", float),
+            **_COMMON,
+        },
+    ),
+    "props": (run_property_suite, {"seed": _SEED, "workers": (None, int)}),
 }
 
-_SCHEMAS: dict[str, dict] = {
-    "table1": {
-        **_COMMON,
-        "dims": (_to_dims, (2, 4, 8, 12, 16, 20)),
-        "trials": (_to_int, 10000),
-    },
-    "gain": {
-        **_COMMON,
-        "dims": (_to_dims, (2, 4, 8, 12, 16, 20)),
-        "snr": (_to_snr_grid, (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)),
-        "trials": (_to_int, 5000),
-    },
-    "cdf": {
-        **_COMMON,
-        "dims": (_to_dims, (2, 4, 8)),
-        "trials": (_to_int, 20000),
-    },
-    "ber": {
-        **_COMMON,
-        "n": (_to_int, 4),
-        "snr": (_to_snr_grid, (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0)),
-        "sigma_min": (_to_float, 0.0),
-        "trials": (_to_int, 200000),
-    },
-    "condratio": {
-        **_COMMON,
-        "n": (_to_int, 4),
-        "cond": (_to_float, 15.0),
-        "sigma_min": (_to_float_list, (0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0)),
-        "snr": (_to_float, 10.0),
-        "trials": (_to_int, 200),
-    },
-    "props": {
-        **_COMMON,
-    },
-}
+#: Options every command takes for the CLI itself: name -> (converter, default).
+_OUTPUT = {"out": (str, None), "format": (str, "csv"), "emit_plot": (_to_bool, False)}
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -169,45 +154,53 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve_options(command: str, ns: argparse.Namespace) -> dict:
-    """Merge flag values, config-file values, and defaults, in that order."""
-    schema = _SCHEMAS[command]
-    config: dict[str, str] = {}
-    if getattr(ns, "config", None):
-        config = _load_config(ns.config)
-        unknown = set(config) - set(schema)
-        if unknown:
-            raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
-    opts = {}
-    for name, (convert, default) in schema.items():
-        flag_value = getattr(ns, name, None)
-        if flag_value is not None:
-            opts[name] = convert(flag_value) if isinstance(flag_value, str) else flag_value
-        elif name in config:
-            opts[name] = convert(config[name])
-        else:
-            opts[name] = default
-    if opts["seed"] is None:
+def _resolve_options(command: str, ns: argparse.Namespace) -> tuple[dict, dict]:
+    """Runner keywords and output options; a flag wins over its config-file value.
+
+    The seed, unless set, comes from ``LINDET_SEED``, then 0.
+    """
+    options = _COMMANDS[command][1]
+    config = _load_config(ns.config) if ns.config else {}
+    unknown = set(config) - set(options) - set(_OUTPUT)
+    if unknown:
+        raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
+
+    def given(name):
+        flag = getattr(ns, name)
+        return config.get(name) if flag is None else flag
+
+    kwargs = {}
+    for name, (keyword, convert) in options.items():
+        text = given(name)
+        if text is not None:
+            value = convert(text)
+            if keyword is not None:
+                kwargs[keyword] = value
+    if "master_seed" not in kwargs:
         env = os.environ.get(SEED_ENV_VAR)
-        opts["seed"] = int(env) if env else 0
+        kwargs["master_seed"] = int(env) if env else 0
+    opts = {}
+    for name, (convert, default) in _OUTPUT.items():
+        text = given(name)
+        opts[name] = default if text is None else convert(text)
     if opts["format"] not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {opts['format']!r}")
     opts["out_explicit"] = opts["out"] is not None
     if opts["out"] is None:
         opts["out"] = f"{command}.{opts['format']}"
-    return opts
+    return kwargs, opts
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lindet", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lindet {__version__}")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    for command, schema in _SCHEMAS.items():
+    for command, (_, options) in _COMMANDS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="key=value file; flags override it")
-        for name in schema:
+        for name in [*options, *_OUTPUT]:
             if name == "emit_plot":
-                p.add_argument("--emit-plot", dest="emit_plot", action="store_const", const=True)
+                p.add_argument("--emit-plot", dest="emit_plot", action="store_const", const="true")
             else:
                 p.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None)
     return parser
@@ -356,36 +349,13 @@ def _emit(table: ResultTable, opts: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-#: command -> (runner, option -> runner keyword), beyond the common three.
-_RUNNERS = {
-    "table1": (run_table1, {"dims": "dims"}),
-    "gain": (run_gain_sweep, {"dims": "dims", "snr": "snr_grid_db"}),
-    "cdf": (run_min_singular_cdf, {"dims": "dims"}),
-    "ber": (run_ber_sweep, {"n": "n", "snr": "snr_grid_db", "sigma_min": "sigma_min_floor"}),
-    "condratio": (
-        run_cond_ratio_sweep,
-        {"n": "n", "cond": "cond_target", "sigma_min": "sigma_min_grid", "snr": "snr_db"},
-    ),
-}
-_RUNNER_COMMON = {"trials": "trials", "seed": "master_seed", "workers": "workers"}
-
-
-def _handle_runner(command: str, opts: dict) -> int:
-    runner, keywords = _RUNNERS[command]
-    table = runner(**{kw: opts[name] for name, kw in {**keywords, **_RUNNER_COMMON}.items()})
-    _emit(table, opts)
-    return 0
-
-
-def _handle_props(opts: dict) -> int:
-    results = run_property_suite(opts["seed"])
+def _report_props(results: list, seed: int, opts: dict) -> int:
     for r in results:
         print(("PASS" if r.passed else "FAIL") + f" {r.name}: {r.detail}")
     table = _result_table(
         "props",
-        ["name", "passed", "detail"],
         [{"name": r.name, "passed": int(r.passed), "detail": r.detail} for r in results],
-        opts["seed"], 0, "none",
+        seed, 0, "none",
     )
     if opts["out_explicit"]:
         write_table(table, opts["out"], opts["format"])
@@ -403,7 +373,7 @@ def run_cli(argv) -> int:
         ns = _build_parser().parse_args(list(argv))
         if ns.command is None:
             raise _UsageError("a subcommand is required (table1, gain, cdf, ber, condratio, props)")
-        opts = _resolve_options(ns.command, ns)
+        kwargs, opts = _resolve_options(ns.command, ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -413,9 +383,11 @@ def run_cli(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
+        result = _COMMANDS[ns.command][0](**kwargs)
         if ns.command == "props":
-            return _handle_props(opts)
-        return _handle_runner(ns.command, opts)
+            return _report_props(result, kwargs["master_seed"], opts)
+        _emit(result, opts)
+        return 0
     except (LindetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

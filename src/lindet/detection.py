@@ -89,9 +89,7 @@ def zf_filter(h) -> FilterMatrix:
     amplification by the inverse singular values.  Numerically singular
     channels raise :class:`~lindet.exceptions.SingularMatrixError`.
     """
-    m = linalg.as_complex_matrix(h, name="channel")
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"channel must be square, got shape {m.shape}")
+    m = linalg._require_square(linalg.as_complex_matrix(h, name="channel"), "channel")
     sigma = linalg.gram(m)
     w = linalg.inverse(sigma) @ m.conj().T
     return FilterMatrix(kind="zf", noise_variance=0.0, matrix=w)
@@ -103,13 +101,24 @@ def mmse_filter(h, noise: NoiseModel) -> FilterMatrix:
     Regularizes the Gram matrix with the noise variance; at zero variance
     it coincides with :func:`zf_filter`.
     """
-    m = linalg.as_complex_matrix(h, name="channel")
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"channel must be square, got shape {m.shape}")
+    m = linalg._require_square(linalg.as_complex_matrix(h, name="channel"), "channel")
     n = m.shape[0]
     gamma = linalg.gram(m) + noise.variance * np.eye(n)
     w = linalg.inverse(gamma) @ m.conj().T
     return FilterMatrix(kind="mmse", noise_variance=noise.variance, matrix=w)
+
+
+def _filter_pair(h: np.ndarray, variance: float) -> tuple[np.ndarray, np.ndarray]:
+    """ZF and MMSE filters of a stack ``(count, n, n)`` of channels.
+
+    Solves the Gram systems directly; the public filters invert instead, and
+    the two roundings differ in the last bits.  No validation.
+    """
+    hh = h.conj().swapaxes(-1, -2)
+    gram = hh @ h
+    w_zf = np.linalg.solve(gram, hh)
+    w_mmse = np.linalg.solve(gram + variance * np.eye(h.shape[-1]), hh)
+    return w_zf, w_mmse
 
 
 def equalize_and_slice(w: FilterMatrix, r) -> np.ndarray:

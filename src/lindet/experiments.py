@@ -34,11 +34,11 @@ from .channel import (
     NoiseModel,
     RngStream,
     _cn_noise,
-    _phase_fixed_q,
     _spectrum_profile,
+    _synthesized_stack,
     complex_gaussian,
 )
-from .detection import qpsk_modulate, qpsk_slice
+from .detection import _filter_pair, qpsk_modulate, qpsk_slice
 from .exceptions import DimensionError, SamplingExhaustedError
 
 _BLOCK = 8192
@@ -59,37 +59,6 @@ DEFAULT_CDF_GRID = tuple(np.round(np.arange(0.0, 1.5001, 0.025), 6))
 
 #: Default scaled-minimum-singular-value tail abscissas.
 DEFAULT_TAIL_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
-
-
-@dataclass
-class SimConfig:
-    """Validated description of a Monte Carlo experiment."""
-
-    dims: tuple[int, ...] = ()
-    snr_grid_db: tuple[float, ...] = ()
-    trials: int = 1
-    master_seed: int = 0
-    sigma_min_floor: float | None = None
-    cond_target: float | None = None
-    sigma_min_grid: tuple[float, ...] = ()
-    workers: int = 1
-
-    def __post_init__(self):
-        self.dims = tuple(int(n) for n in self.dims)
-        self.snr_grid_db = tuple(float(s) for s in self.snr_grid_db)
-        self.sigma_min_grid = tuple(float(s) for s in self.sigma_min_grid)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if any(n < 2 for n in self.dims):
-            raise ValueError(f"all dims must be >= 2, got {self.dims}")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.sigma_min_floor is not None and self.sigma_min_floor < 0:
-            raise ValueError("sigma_min_floor must be >= 0")
-        if self.cond_target is not None and self.cond_target < 1:
-            raise ValueError("cond_target must be >= 1")
 
 
 @dataclass
@@ -189,20 +158,36 @@ def _mean_se(total: float, total_sq: float, count: int) -> tuple[float, float]:
     return mean, math.sqrt(var / count)
 
 
+def _check_run(dims, trials: int, master_seed: int, workers: int) -> tuple[int, ...]:
+    """The checks every runner shares; returns ``dims`` as integers."""
+    dims = tuple(int(n) for n in dims)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not dims or any(n < 2 for n in dims):
+        raise ValueError(f"dims must be nonempty and all >= 2, got {dims}")
+    if master_seed < 0:
+        raise ValueError("master_seed must be nonnegative")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return dims
+
+
 def _result_table(
     experiment: str,
-    columns: list[str],
     rows: list[dict],
     seed: int,
     trials: int,
     convention: str,
     **metadata,
 ) -> ResultTable:
-    """Table with the standard metadata; every row is stamped with seed and trials."""
+    """Table with the standard metadata; every row is stamped with seed and trials.
+
+    The columns are the keys of the first row, in order, before the stamp.
+    """
     stamp = {"seed": seed, "trials": trials}
     return ResultTable(
         experiment=experiment,
-        columns=columns,
+        columns=list(rows[0]),
         rows=[{**row, **stamp} for row in rows],
         metadata={**stamp, "snr_convention": convention, "version": __version__, **metadata},
     )
@@ -232,18 +217,23 @@ def _table1_block(g, n, count):
     )
 
 
-def run_table1(dims, trials: int = 10000, master_seed: int = 0, workers: int = 1) -> ResultTable:
+def run_table1(
+    dims=(2, 4, 8, 12, 16, 20),
+    trials: int = 10000,
+    master_seed: int = 0,
+    workers: int = 1,
+) -> ResultTable:
     """Mean minimum singular value and condition number per dimension.
 
     Samples ``trials`` normalized channel realizations for each ``N`` in
     ``dims``.  Standard errors capture Monte Carlo noise and should only be
     trusted for trial counts of roughly a thousand or more.
     """
-    cfg = SimConfig(dims=tuple(dims), trials=trials, master_seed=master_seed, workers=workers)
+    dims = _check_run(dims, trials, master_seed, workers)
     rows = []
-    for n in cfg.dims:
+    for n in dims:
         count, sum_s, sum_s2, sum_c, sum_c2 = _reduce(
-            _table1_block, cfg.master_seed, (_TAG_TABLE1, n), (n,), cfg.trials, cfg.workers
+            _table1_block, master_seed, (_TAG_TABLE1, n), (n,), trials, workers
         )
         mean_s, se_s = _mean_se(sum_s, sum_s2, count)
         mean_c, se_c = _mean_se(sum_c, sum_c2, count)
@@ -256,11 +246,7 @@ def run_table1(dims, trials: int = 10000, master_seed: int = 0, workers: int = 1
                 "se_cond": se_c,
             }
         )
-    return _result_table(
-        "table1",
-        ["n", "mean_sigma_min", "se_sigma_min", "mean_cond", "se_cond"],
-        rows, cfg.master_seed, cfg.trials, "none", dims=list(cfg.dims),
-    )
+    return _result_table("table1", rows, master_seed, trials, "none", dims=list(dims))
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +264,8 @@ def _gain_block(g, n, variance, count):
 
 
 def run_gain_sweep(
-    dims,
-    snr_grid_db,
+    dims=(2, 4, 8, 12, 16, 20),
+    snr_grid_db=(0.0, 10.0, 20.0, 30.0, 40.0, 50.0),
     trials: int = 5000,
     master_seed: int = 0,
     workers: int = 1,
@@ -291,22 +277,16 @@ def run_gain_sweep(
     report how many realizations produced non-finite gains and were
     excluded.
     """
-    cfg = SimConfig(
-        dims=tuple(dims),
-        snr_grid_db=tuple(snr_grid_db),
-        trials=trials,
-        master_seed=master_seed,
-        workers=workers,
-    )
-    if not cfg.snr_grid_db:
+    dims = _check_run(dims, trials, master_seed, workers)
+    snr_grid_db = tuple(float(s) for s in snr_grid_db)
+    if not snr_grid_db:
         raise ValueError("snr_grid_db must be nonempty")
     rows = []
-    for n in cfg.dims:
-        for si, snr_db in enumerate(cfg.snr_grid_db):
+    for n in dims:
+        for si, snr_db in enumerate(snr_grid_db):
             variance = noise_var_from_snr(snr_db, n).variance
             kept, sum_g, sum_g2, excluded = _reduce(
-                _gain_block, cfg.master_seed, (_TAG_GAIN, n, si), (n, variance),
-                cfg.trials, cfg.workers,
+                _gain_block, master_seed, (_TAG_GAIN, n, si), (n, variance), trials, workers
             )
             mean_g, se_g = _mean_se(sum_g, sum_g2, kept)
             rows.append(
@@ -319,10 +299,8 @@ def run_gain_sweep(
                 }
             )
     return _result_table(
-        "gain",
-        ["n", "snr_db", "mean_gain_db", "se_gain_db", "n_excluded"],
-        rows, cfg.master_seed, cfg.trials, CONVENTION_RECEIVE,
-        dims=list(cfg.dims), snr_grid_db=list(cfg.snr_grid_db),
+        "gain", rows, master_seed, trials, CONVENTION_RECEIVE,
+        dims=list(dims), snr_grid_db=list(snr_grid_db),
     )
 
 
@@ -345,7 +323,7 @@ def _edelman_block(g, n, tail_grid, count):
 
 
 def run_min_singular_cdf(
-    dims,
+    dims=(2, 4, 8),
     trials: int = 20000,
     master_seed: int = 0,
     workers: int = 1,
@@ -361,21 +339,18 @@ def run_min_singular_cdf(
     real Gaussian matrices (entry variance ``1/N``) next to the asymptotic
     reference ``exp(-x - x^2/2)``.
     """
-    cfg = SimConfig(dims=tuple(dims), trials=trials, master_seed=master_seed, workers=workers)
+    dims = _check_run(dims, trials, master_seed, workers)
     grid = tuple(float(x) for x in grid)
     tail_grid = tuple(float(x) for x in tail_grid)
     if not grid or not tail_grid:
         raise ValueError("grid and tail_grid must be nonempty")
-    n_tail = max(cfg.dims)
-    sweeps = [
-        ("cdf_sigma_min", n, grid, _cdf_block, _TAG_CDF, None) for n in cfg.dims
-    ]
+    sweeps = [("cdf_sigma_min", n, grid, _cdf_block, _TAG_CDF, None) for n in dims]
     sweeps.append(
-        ("tail_scaled_sigma_min", n_tail, tail_grid, _edelman_block, _TAG_EDELMAN, edelman_tail)
+        ("tail_scaled_sigma_min", max(dims), tail_grid, _edelman_block, _TAG_EDELMAN, edelman_tail)
     )
     rows = []
     for statistic, n, xs, kernel, tag, reference in sweeps:
-        count, hits = _reduce(kernel, cfg.master_seed, (tag, n), (n, xs), cfg.trials, cfg.workers)
+        count, hits = _reduce(kernel, master_seed, (tag, n), (n, xs), trials, workers)
         for x, k in zip(xs, hits):
             p = float(k / count)
             rows.append(
@@ -388,11 +363,7 @@ def run_min_singular_cdf(
                     "reference": reference(x) if reference else None,
                 }
             )
-    return _result_table(
-        "cdf",
-        ["statistic", "n", "x", "value", "se", "reference"],
-        rows, cfg.master_seed, cfg.trials, "none", dims=list(cfg.dims),
-    )
+    return _result_table("cdf", rows, master_seed, trials, "none", dims=list(dims))
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +394,7 @@ def _ber_block(g, n, variance, floor, max_attempts, count):
     noise = _cn_noise((count, n), variance, g)
     # Both detectors see the identical (H, x, n) triple per trial.
     r = np.einsum("bij,bj->bi", h, x) + noise
-    hh = h.conj().transpose(0, 2, 1)
-    gram = hh @ h
-    w_zf = np.linalg.solve(gram, hh)
-    w_mmse = np.linalg.solve(gram + variance * np.eye(n), hh)
+    w_zf, w_mmse = _filter_pair(h, variance)
     k_zf = np.count_nonzero(qpsk_slice(np.einsum("bij,bj->bi", w_zf, r)) != bits, axis=1)
     k_mmse = np.count_nonzero(qpsk_slice(np.einsum("bij,bj->bi", w_mmse, r)) != bits, axis=1)
     diff = k_zf - k_mmse
@@ -445,8 +413,8 @@ LOW_CONFIDENCE_ERRORS = 100
 
 
 def run_ber_sweep(
-    n: int,
-    snr_grid_db,
+    n: int = 4,
+    snr_grid_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0),
     sigma_min_floor: float = 0.0,
     trials: int = 200000,
     master_seed: int = 0,
@@ -462,17 +430,13 @@ def run_ber_sweep(
     with fewer than ``LOW_CONFIDENCE_ERRORS`` accumulated bit errors carry
     ``low_confidence = 1``.
     """
-    cfg = SimConfig(
-        dims=(n,),
-        snr_grid_db=tuple(snr_grid_db),
-        trials=trials,
-        master_seed=master_seed,
-        sigma_min_floor=float(sigma_min_floor),
-        workers=workers,
-    )
-    if not cfg.snr_grid_db:
-        raise ValueError("snr_grid_db must be nonempty")
+    _check_run((n,), trials, master_seed, workers)
     floor = float(sigma_min_floor)
+    if floor < 0:
+        raise ValueError("sigma_min_floor must be >= 0")
+    snr_grid_db = tuple(float(s) for s in snr_grid_db)
+    if not snr_grid_db:
+        raise ValueError("snr_grid_db must be nonempty")
     if floor >= math.sqrt(n):
         # sum(s_i^2) = N^2 forces sigma_N <= sqrt(N); no draw can clear the floor.
         raise SamplingExhaustedError(
@@ -482,11 +446,11 @@ def run_ber_sweep(
         )
     rows = []
     bits_per_trial = 2 * n
-    for si, snr_db in enumerate(cfg.snr_grid_db):
+    for si, snr_db in enumerate(snr_grid_db):
         variance = noise_var_from_snr(snr_db, n).variance
         count, sum_z, sumsq_z, sum_m, sumsq_m, sumsq_d = _reduce(
-            _ber_block, cfg.master_seed, (_TAG_BER, si), (n, variance, floor, max_attempts),
-            cfg.trials, cfg.workers,
+            _ber_block, master_seed, (_TAG_BER, si), (n, variance, floor, max_attempts),
+            trials, workers,
         )
         total_bits = count * bits_per_trial
         _, se_kd = _mean_se(float(sum_z - sum_m), float(sumsq_d), count)
@@ -506,19 +470,8 @@ def run_ber_sweep(
                 }
             )
     return _result_table(
-        "ber",
-        [
-            "detector",
-            "snr_db",
-            "ber",
-            "bit_errors",
-            "bits",
-            "se_ber",
-            "se_paired_diff",
-            "low_confidence",
-        ],
-        rows, cfg.master_seed, cfg.trials, CONVENTION_RECEIVE,
-        n=n, sigma_min_floor=floor, snr_grid_db=list(cfg.snr_grid_db),
+        "ber", rows, master_seed, trials, CONVENTION_RECEIVE,
+        n=n, sigma_min_floor=floor, snr_grid_db=list(snr_grid_db),
     )
 
 
@@ -528,13 +481,7 @@ def run_ber_sweep(
 
 
 def _cond_ratio_block(g, n, spectrum, variance, count):
-    u = _phase_fixed_q(complex_gaussian((count, n, n), g))
-    v = _phase_fixed_q(complex_gaussian((count, n, n), g))
-    h = (u * spectrum[None, None, :]) @ v.conj().transpose(0, 2, 1)
-    hh = h.conj().transpose(0, 2, 1)
-    gram = hh @ h
-    w_zf = np.linalg.solve(gram, hh)
-    w_mmse = np.linalg.solve(gram + variance * np.eye(n), hh)
+    w_zf, w_mmse = _filter_pair(_synthesized_stack(spectrum, count, g), variance)
     sv_zf = np.linalg.svd(w_zf, compute_uv=False)
     sv_mmse = np.linalg.svd(w_mmse, compute_uv=False)
     cond_zf = sv_zf[:, 0] / sv_zf[:, -1]
@@ -550,9 +497,9 @@ def _cond_ratio_block(g, n, spectrum, variance, count):
 
 
 def run_cond_ratio_sweep(
-    n: int,
-    cond_target: float,
-    sigma_min_grid,
+    n: int = 4,
+    cond_target: float = 15.0,
+    sigma_min_grid=(0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0),
     snr_db: float = 10.0,
     trials: int = 200,
     master_seed: int = 0,
@@ -567,26 +514,23 @@ def run_cond_ratio_sweep(
     ratio depends only on the prescribed spectrum endpoints and is reported
     alongside the Monte Carlo mean of the exact ratio.
     """
-    cfg = SimConfig(
-        dims=(n,),
-        trials=trials,
-        master_seed=master_seed,
-        cond_target=float(cond_target),
-        sigma_min_grid=tuple(sigma_min_grid),
-        workers=workers,
-    )
-    if not cfg.sigma_min_grid:
+    _check_run((n,), trials, master_seed, workers)
+    cond_target = float(cond_target)
+    if cond_target < 1:
+        raise ValueError("cond_target must be >= 1")
+    sigma_min_grid = tuple(float(s) for s in sigma_min_grid)
+    if not sigma_min_grid:
         raise ValueError("sigma_min_grid must be nonempty")
-    if any(s <= 0 for s in cfg.sigma_min_grid):
+    if any(s <= 0 for s in sigma_min_grid):
         raise ValueError("sigma_min_grid values must be > 0")
     variance = noise_var_from_inverse_snr(snr_db).variance
     noise = NoiseModel(variance)
     rows = []
-    for gi, sigma_min in enumerate(cfg.sigma_min_grid):
-        spectrum = _spectrum_profile(n, cfg.cond_target, sigma_min, interior)
+    for gi, sigma_min in enumerate(sigma_min_grid):
+        spectrum = _spectrum_profile(n, cond_target, sigma_min, interior)
         count, sum_r, sum_r2, sum_cz, sum_cm = _reduce(
-            _cond_ratio_block, cfg.master_seed, (_TAG_CONDRATIO, gi), (n, spectrum, variance),
-            cfg.trials, cfg.workers,
+            _cond_ratio_block, master_seed, (_TAG_CONDRATIO, gi), (n, spectrum, variance),
+            trials, workers,
         )
         mean_r, se_r = _mean_se(sum_r, sum_r2, count)
         rows.append(
@@ -594,23 +538,12 @@ def run_cond_ratio_sweep(
                 "sigma_min": sigma_min,
                 "mean_exact_ratio": mean_r,
                 "se_exact_ratio": se_r,
-                "approx_ratio": cond_ratio_approx(
-                    cfg.cond_target * sigma_min, sigma_min, noise
-                ),
+                "approx_ratio": cond_ratio_approx(cond_target * sigma_min, sigma_min, noise),
                 "mean_cond_w_zf": sum_cz / count,
                 "mean_cond_w_mmse": sum_cm / count,
             }
         )
     return _result_table(
-        "condratio",
-        [
-            "sigma_min",
-            "mean_exact_ratio",
-            "se_exact_ratio",
-            "approx_ratio",
-            "mean_cond_w_zf",
-            "mean_cond_w_mmse",
-        ],
-        rows, cfg.master_seed, cfg.trials, CONVENTION_INVERSE,
-        n=n, cond_target=cfg.cond_target, snr_db=float(snr_db), interior=interior,
+        "condratio", rows, master_seed, trials, CONVENTION_INVERSE,
+        n=n, cond_target=cond_target, snr_db=float(snr_db), interior=interior,
     )

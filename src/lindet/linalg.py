@@ -113,6 +113,24 @@ def gram(a) -> np.ndarray:
     return m.conj().T @ m
 
 
+def _nonsingular(a, message: str) -> tuple[np.ndarray, float, float]:
+    """Square ``a`` with its extreme singular values, guarded by ``SINGULARITY_RTOL``.
+
+    A numerically singular matrix raises
+    :class:`~lindet.exceptions.SingularMatrixError` with ``message``.
+    """
+    m = _require_square(as_complex_matrix(a))
+    s = np.linalg.svd(m, compute_uv=False)
+    smax, smin = float(s[0]), float(s[-1])
+    if smin <= SINGULARITY_RTOL * smax:
+        raise SingularMatrixError(
+            f"{message} (sigma_min={smin:.3e}, sigma_max={smax:.3e})",
+            sigma_min=smin,
+            sigma_max=smax,
+        )
+    return m, smax, smin
+
+
 def inverse(a) -> np.ndarray:
     """Matrix inverse, guarded by the package singularity threshold.
 
@@ -122,16 +140,7 @@ def inverse(a) -> np.ndarray:
         When ``sigma_min <= SINGULARITY_RTOL * sigma_max``; the error
         carries both extreme singular values.
     """
-    m = _require_square(as_complex_matrix(a))
-    s = np.linalg.svd(m, compute_uv=False)
-    smax, smin = float(s[0]), float(s[-1])
-    if smin <= SINGULARITY_RTOL * smax:
-        raise SingularMatrixError(
-            f"matrix is numerically singular (sigma_min={smin:.3e}, "
-            f"sigma_max={smax:.3e})",
-            sigma_min=smin,
-            sigma_max=smax,
-        )
+    m, _, _ = _nonsingular(a, "matrix is numerically singular")
     return np.linalg.inv(m)
 
 
@@ -142,14 +151,5 @@ def condition_number(a) -> float:
     inversion.  Numerically singular input raises
     :class:`~lindet.exceptions.SingularMatrixError`.
     """
-    m = _require_square(as_complex_matrix(a))
-    s = np.linalg.svd(m, compute_uv=False)
-    smax, smin = float(s[0]), float(s[-1])
-    if smin <= SINGULARITY_RTOL * smax:
-        raise SingularMatrixError(
-            f"condition number undefined for numerically singular matrix "
-            f"(sigma_min={smin:.3e}, sigma_max={smax:.3e})",
-            sigma_min=smin,
-            sigma_max=smax,
-        )
+    _, smax, smin = _nonsingular(a, "condition number undefined for numerically singular matrix")
     return smax / smin

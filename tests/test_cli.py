@@ -1,9 +1,19 @@
+import inspect
 import json
 import re
 
 import pytest
 
 from lindet import cli
+from lindet.experiments import (
+    _result_table,
+    run_ber_sweep,
+    run_cond_ratio_sweep,
+    run_gain_sweep,
+    run_min_singular_cdf,
+    run_table1,
+)
+from lindet.properties import PropertyResult
 
 
 def run(argv):
@@ -197,3 +207,95 @@ class TestPropsCommand:
         assert "FAIL" not in out
         lines = (tmp_path / "props.csv").read_text().splitlines()
         assert lines[0] == "name,passed,detail"
+
+
+#: The defaults each subcommand runs with when no flag or config value is
+#: given: the runners' own keyword defaults.
+CLI_DEFAULTS = {
+    run_table1: {"dims": (2, 4, 8, 12, 16, 20), "trials": 10000},
+    run_gain_sweep: {
+        "dims": (2, 4, 8, 12, 16, 20),
+        "snr_grid_db": (0.0, 10.0, 20.0, 30.0, 40.0, 50.0),
+        "trials": 5000,
+    },
+    run_min_singular_cdf: {"dims": (2, 4, 8), "trials": 20000},
+    run_ber_sweep: {
+        "n": 4,
+        "snr_grid_db": (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0),
+        "sigma_min_floor": 0.0,
+        "trials": 200000,
+    },
+    run_cond_ratio_sweep: {
+        "n": 4,
+        "cond_target": 15.0,
+        "sigma_min_grid": (0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0),
+        "snr_db": 10.0,
+        "trials": 200,
+    },
+}
+
+
+def _assert_same(got: dict, expected: dict):
+    """Equal keys and values, and each value of the expected type."""
+    assert got == expected
+    assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in expected.items()}
+
+
+class TestOptionTable:
+    @pytest.fixture
+    def calls(self, monkeypatch, tmp_path):
+        """Every command's runner replaced by one that records its keywords."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        calls = []
+
+        def fake_runner(**kwargs):
+            calls.append(kwargs)
+            return _result_table("fake", [{"x": 1}], kwargs["master_seed"], 1, "none")
+
+        def fake_suite(**kwargs):
+            calls.append(kwargs)
+            return [PropertyResult("fake", True, "ok")]
+
+        for command, (_, options) in list(cli._COMMANDS.items()):
+            fake = fake_suite if command == "props" else fake_runner
+            monkeypatch.setitem(cli._COMMANDS, command, (fake, options))
+        return calls
+
+    @pytest.mark.parametrize("command", ["table1", "gain", "cdf", "ber", "condratio", "props"])
+    def test_unset_options_are_not_passed(self, calls, command):
+        assert run([command]) == 0
+        assert calls == [{"master_seed": 0}]
+
+    def test_flags_and_config_arrive_converted(self, calls, tmp_path):
+        (tmp_path / "cfg.txt").write_text("sigma_min=0.25\ntrials=300\nworkers=2\n")
+        assert run(["ber", "--config", "cfg.txt", "--snr", "0:10:5", "--n", "6",
+                    "--trials", "50"]) == 0
+        _assert_same(calls[-1], {"n": 6, "snr_grid_db": (0.0, 5.0, 10.0),
+                                 "sigma_min_floor": 0.25, "trials": 50, "workers": 2,
+                                 "master_seed": 0})
+        (tmp_path / "cfg.txt").write_text("cond=12\nsnr=3\n")
+        assert run(["condratio", "--config", "cfg.txt", "--sigma-min", "0.1,0.2",
+                    "--seed", "9"]) == 0
+        _assert_same(calls[-1], {"cond_target": 12.0, "snr_db": 3.0,
+                                 "sigma_min_grid": (0.1, 0.2), "master_seed": 9})
+        assert run(["gain", "--dims", "2,4", "--snr", "5"]) == 0
+        _assert_same(calls[-1], {"dims": (2, 4), "snr_grid_db": (5.0,), "master_seed": 0})
+
+    def test_props_checks_workers_and_passes_only_the_seed(self, calls):
+        assert run(["props", "--workers", "3", "--seed", "2"]) == 0
+        assert calls == [{"master_seed": 2}]
+        assert run(["props", "--workers", "three"]) == 1
+        assert run(["props", "--trials", "10"]) == 1
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_keyword_is_a_runner_parameter(self, command):
+        runner, options = cli._COMMANDS[command]
+        keywords = {kw for kw, _ in options.values() if kw is not None}
+        assert keywords <= set(inspect.signature(runner).parameters)
+
+    @pytest.mark.parametrize("runner", list(CLI_DEFAULTS), ids=lambda r: r.__name__)
+    def test_runner_defaults_are_the_cli_defaults(self, runner):
+        params = inspect.signature(runner).parameters
+        expected = {**CLI_DEFAULTS[runner], "master_seed": 0, "workers": 1}
+        _assert_same({name: params[name].default for name in expected}, expected)

@@ -5,7 +5,6 @@ import pytest
 from lindet import analysis, experiments
 from lindet.exceptions import DimensionError, SamplingExhaustedError
 from lindet.experiments import (
-    SimConfig,
     noise_var_from_inverse_snr,
     noise_var_from_snr,
     run_ber_sweep,
@@ -60,18 +59,73 @@ class TestNoiseVarFromSnr:
             noise_var_from_snr(0.0, 0)
 
 
-class TestSimConfig:
-    def test_rejects_small_dims(self):
-        with pytest.raises(ValueError):
-            SimConfig(dims=(1,), trials=10)
+_ALL_RUNNERS = [
+    run_table1, run_gain_sweep, run_min_singular_cdf, run_ber_sweep, run_cond_ratio_sweep
+]
+_DIMS_RUNNERS = _ALL_RUNNERS[:3]
 
-    def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError):
-            SimConfig(trials=0)
 
-    def test_rejects_bad_workers(self):
+def _name(runner):
+    return runner.__name__
+
+
+class TestRunnerChecks:
+    """Each runner rejects bad input with ValueError before any block runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_blocks(self, monkeypatch):
+        def run_blocks(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(experiments, "_run_blocks", run_blocks)
+
+    @pytest.mark.parametrize("runner", _ALL_RUNNERS, ids=_name)
+    def test_rejects_small_dims(self, runner):
+        small = {"dims": (4, 1)} if runner in _DIMS_RUNNERS else {"n": 1}
         with pytest.raises(ValueError):
-            SimConfig(trials=1, workers=0)
+            runner(**small, trials=1)
+
+    @pytest.mark.parametrize("runner", _DIMS_RUNNERS, ids=_name)
+    def test_rejects_empty_dims(self, runner):
+        with pytest.raises(ValueError):
+            runner((), trials=1)
+
+    @pytest.mark.parametrize("runner", _ALL_RUNNERS, ids=_name)
+    def test_rejects_zero_trials(self, runner):
+        with pytest.raises(ValueError):
+            runner(trials=0)
+
+    @pytest.mark.parametrize("runner", _ALL_RUNNERS, ids=_name)
+    def test_rejects_bad_workers(self, runner):
+        with pytest.raises(ValueError):
+            runner(trials=1, workers=0)
+
+    @pytest.mark.parametrize("runner", _ALL_RUNNERS, ids=_name)
+    def test_rejects_negative_seed(self, runner):
+        with pytest.raises(ValueError):
+            runner(trials=1, master_seed=-1)
+
+    def test_ber_rejects_negative_floor(self):
+        with pytest.raises(ValueError):
+            run_ber_sweep(4, [10.0], sigma_min_floor=-0.1, trials=1)
+
+    def test_cond_ratio_rejects_target_below_one(self):
+        with pytest.raises(ValueError):
+            run_cond_ratio_sweep(4, 0.5, [0.1], trials=1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: run_ber_sweep(4, [], trials=1),
+            lambda: run_cond_ratio_sweep(4, 15.0, [], trials=1),
+            lambda: run_cond_ratio_sweep(4, 15.0, [0.1, 0.0], trials=1),
+            lambda: run_min_singular_cdf([4], grid=(), trials=1),
+        ],
+        ids=["ber-snr", "condratio-sigma-min", "condratio-nonpositive", "cdf-grid"],
+    )
+    def test_rejects_empty_or_bad_grids(self, call):
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestRunTable1:
