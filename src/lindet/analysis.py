@@ -12,7 +12,9 @@ MMSE detection on a known channel spectrum:
   taking SVDs.
 * Post-processing SNR of the ZF filter, ``N / sum_i(v / s_i^2)``, and of
   the MMSE filter, ``(a + b) / (v (N + 1) c + N b - a)`` with the spectral
-  sums ``a``, ``b``, ``c`` defined in :func:`mmse_abc`.
+  sums ``a``, ``b``, ``c`` defined in :func:`mmse_abc`; ``N b - a`` is
+  evaluated as a sum of squares rather than as written, which would cancel
+  catastrophically at small noise.
 * A Monte Carlo distortion-SNR oracle that measures transmit energy over
   filtered-error energy directly, independent of the closed forms.
 
@@ -158,11 +160,16 @@ def _mmse_snr_terms(s: np.ndarray, variance: float):
     """Numerator ``a + b`` and denominator ``v (N + 1) c + N b - a`` of the MMSE SNR.
 
     Evaluated along the last axis of one spectrum ``(N,)`` or a stack
-    ``(..., N)``, without validation.
+    ``(..., N)``, without validation.  ``N b - a`` equals
+    ``N sum_i (u_i - mean(u))^2`` with ``u_i = v / (s_i^2 + v) = 1 - t_i``;
+    that form is a sum of squares of small, accurately computed terms, while
+    ``N b - a`` subtracts two nearly equal numbers as ``v`` vanishes.
     """
     n = s.shape[-1]
     a, b, c = _spectral_sums(s, variance)
-    return a + b, variance * (n + 1) * c + n * b - a
+    u = variance / (s * s + variance)
+    spread = np.sum((u - np.mean(u, axis=-1, keepdims=True)) ** 2, axis=-1)
+    return a + b, variance * (n + 1) * c + n * spread
 
 
 def _mmse_spectrum(spectrum, noise: NoiseModel) -> np.ndarray:
@@ -205,9 +212,11 @@ def mmse_abc(spectrum, noise: NoiseModel) -> MmseAbc:
 def snr_mmse(spectrum, noise: NoiseModel) -> float:
     """Post-processing SNR of the MMSE filter.
 
-    Evaluates ``(a + b) / (v (N + 1) c + N b - a)`` exactly as written.
-    The denominator cancels to zero in the zero-noise limit (where the MMSE
-    and ZF SNRs both diverge); denominators at or below
+    Evaluates ``(a + b) / (v (N + 1) c + N b - a)``, with ``N b - a``
+    computed as the spread ``N sum_i (u_i - mean(u))^2`` of
+    ``u_i = v / (s_i^2 + v)``, which does not cancel.  The denominator
+    tends to zero in the zero-noise limit (where the MMSE and ZF SNRs both
+    diverge); denominators at or below
     ``MMSE_DENOMINATOR_RTOL * (a + b)`` map to ``math.inf``.  A negative
     denominator beyond that tolerance is a domain violation and raises
     :class:`~lindet.exceptions.FormulaDomainError` rather than being

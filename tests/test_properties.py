@@ -1,3 +1,5 @@
+import pytest
+
 from lindet import properties
 
 
@@ -41,3 +43,12 @@ def test_result_structure():
     assert result.name == "mmse_zero_noise_equals_zf"
     assert isinstance(result.passed, bool)
     assert result.detail
+
+
+@pytest.mark.parametrize("seed", [108, 111])
+def test_snr_ratio_unity_limit_at_suite_seeds_1_and_4(seed):
+    # ``lindet props --seed 1`` and ``--seed 4`` run this check at these
+    # seeds; evaluating N b - a as written cancelled there and pushed
+    # snr_mmse / snr_zf below 1.
+    result = properties.check_snr_zero_noise_limit(seed)
+    assert result.passed, result.detail
