@@ -152,16 +152,14 @@ def sample_floored(
     Raises
     ------
     SamplingExhaustedError
-        After ``max_attempts`` rejected draws; this signals the floor is
-        unattainably high for the requested dimension.
+        At once, with ``attempts == 0`` and without drawing, when the floor
+        is ``sqrt(n)`` or more: no normalized channel can clear it.
+        Otherwise after ``max_attempts`` rejected draws, which signals a
+        floor improbably high for the requested dimension.
     """
     if n < 1:
         raise DimensionError(f"dimension must be >= 1, got {n}")
-    floor = float(sigma_min)
-    if not math.isfinite(floor) or floor < 0.0:
-        raise ValueError(f"sigma_min must be finite and >= 0, got {sigma_min!r}")
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    floor = _check_floor(n, sigma_min, max_attempts)
     g = rng.generator()
     for _ in range(max_attempts):
         raw = complex_gaussian((n, n), g)
@@ -181,6 +179,64 @@ def sample_floored(
         f"no draw with sigma_min >= {floor} in {max_attempts} attempts (n={n})",
         attempts=max_attempts,
     )
+
+
+def _check_floor(n: int, sigma_min: float, max_attempts: int) -> float:
+    """The floored-sampling input rules; returns the floor as a float.
+
+    The floor must be finite and >= 0 and ``max_attempts`` >= 1.  A floor of
+    ``sqrt(n)`` or more raises :class:`SamplingExhaustedError` with
+    ``attempts == 0``: ``sum(s_i^2) = n^2`` forces ``sigma_N <= sqrt(n)``.
+    """
+    floor = float(sigma_min)
+    if not math.isfinite(floor) or floor < 0.0:
+        raise ValueError(f"sigma_min must be finite and >= 0, got {sigma_min!r}")
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    if floor >= math.sqrt(n):
+        raise SamplingExhaustedError(
+            f"sigma_min floor {floor} is unattainable: normalized {n}x{n} channels "
+            f"have sigma_min <= sqrt({n}) = {math.sqrt(n):.6g}",
+            attempts=0,
+        )
+    return floor
+
+
+def _normalized(m: np.ndarray) -> np.ndarray:
+    """``m`` scaled so each matrix on the last two axes has squared Frobenius norm N^2."""
+    n = m.shape[-1]
+    return m * (n / np.linalg.norm(m, axis=(-2, -1)))[..., None, None]
+
+
+def _floored_stack(g: np.random.Generator, count: int, n: int, floor: float, max_attempts: int):
+    """Stack ``(count, n, n)`` of normalized channels with ``sigma_N >= floor``.
+
+    Returns the stack and its singular values ``(count, n)``.  Every draw is
+    decomposed once.  Each round redraws all rejected slots, in ascending
+    slot order, as one stacked draw from ``g``.
+
+    Raises
+    ------
+    SamplingExhaustedError
+        As soon as one slot has been rejected ``max_attempts`` times.
+    """
+    h = _normalized(complex_gaussian((count, n, n), g))
+    s = np.linalg.svd(h, compute_uv=False)
+    bad = np.flatnonzero(s[:, -1] < floor)
+    rejections = 0
+    while bad.size:
+        rejections += 1
+        if rejections == max_attempts:
+            raise SamplingExhaustedError(
+                f"no draw with sigma_min >= {floor} for {bad.size} of {count} "
+                f"slots within {max_attempts} attempts (n={n})",
+                attempts=max_attempts,
+            )
+        redrawn = _normalized(complex_gaussian((bad.size, n, n), g))
+        h[bad] = redrawn
+        s[bad] = np.linalg.svd(redrawn, compute_uv=False)
+        bad = bad[s[bad, -1] < floor]
+    return h, s
 
 
 def haar_unitary(n: int, generator: np.random.Generator) -> np.ndarray:
@@ -237,6 +293,20 @@ def _synthesized_stack(spectrum: np.ndarray, count: int, generator: np.random.Ge
     return (u * spectrum) @ v.conj().swapaxes(-1, -2)
 
 
+def _check_spectrum(cond: float, sigma_min: float) -> tuple[float, float]:
+    """The prescribed-spectrum input rules; returns ``(cond, sigma_min)`` as floats.
+
+    ``cond`` must be finite and >= 1, ``sigma_min`` finite and > 0.
+    """
+    c = float(cond)
+    if not math.isfinite(c) or c < 1.0:
+        raise ValueError(f"cond must be finite and >= 1, got {cond!r}")
+    smin = float(sigma_min)
+    if not math.isfinite(smin) or smin <= 0.0:
+        raise ValueError(f"sigma_min must be finite and > 0, got {sigma_min!r}")
+    return c, smin
+
+
 def synthesize_spectrum(
     n: int,
     cond: float,
@@ -261,12 +331,7 @@ def synthesize_spectrum(
     """
     if n < 2:
         raise DimensionError(f"dimension must be >= 2, got {n}")
-    c = float(cond)
-    if not math.isfinite(c) or c < 1.0:
-        raise ValueError(f"cond must be finite and >= 1, got {cond!r}")
-    smin = float(sigma_min)
-    if not math.isfinite(smin) or smin <= 0.0:
-        raise ValueError(f"sigma_min must be finite and > 0, got {sigma_min!r}")
+    c, smin = _check_spectrum(cond, sigma_min)
     s = _spectrum_profile(n, c, smin, interior)
     return ChannelRealization(
         matrix=_synthesized_stack(s, 1, rng.generator())[0],

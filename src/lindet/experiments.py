@@ -33,13 +33,17 @@ from .channel import (
     DEFAULT_MAX_ATTEMPTS,
     NoiseModel,
     RngStream,
+    _check_floor,
+    _check_spectrum,
     _cn_noise,
+    _floored_stack,
+    _normalized,
     _spectrum_profile,
     _synthesized_stack,
     complex_gaussian,
 )
 from .detection import _filter_pair, qpsk_modulate, qpsk_slice
-from .exceptions import DimensionError, SamplingExhaustedError
+from .exceptions import DimensionError
 
 _BLOCK = 8192
 
@@ -193,19 +197,13 @@ def _result_table(
     )
 
 
-def _normalized_block(g: np.random.Generator, count: int, n: int) -> np.ndarray:
-    raw = complex_gaussian((count, n, n), g)
-    fro = np.linalg.norm(raw, axis=(1, 2))
-    return raw * (n / fro)[:, None, None]
-
-
 # ---------------------------------------------------------------------------
 # minimum singular value and condition number statistics
 # ---------------------------------------------------------------------------
 
 
 def _table1_block(g, n, count):
-    s = np.linalg.svd(_normalized_block(g, count, n), compute_uv=False)
+    s = np.linalg.svd(_normalized(complex_gaussian((count, n, n), g)), compute_uv=False)
     smin = s[:, -1]
     cond = s[:, 0] / s[:, -1]
     return (
@@ -255,7 +253,7 @@ def run_table1(
 
 
 def _gain_block(g, n, variance, count):
-    s = np.linalg.svd(_normalized_block(g, count, n), compute_uv=False)
+    s = np.linalg.svd(_normalized(complex_gaussian((count, n, n), g)), compute_uv=False)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         numerator, denominator = _mmse_snr_terms(s, variance)
         gain = 10.0 * np.log10(numerator / denominator / _zf_snr(s, variance))
@@ -310,7 +308,8 @@ def run_gain_sweep(
 
 
 def _cdf_block(g, n, grid, count):
-    smin = np.linalg.svd(_normalized_block(g, count, n), compute_uv=False)[:, -1]
+    s = np.linalg.svd(_normalized(complex_gaussian((count, n, n), g)), compute_uv=False)
+    smin = s[:, -1]
     return (count, np.count_nonzero(smin[:, None] <= np.asarray(grid)[None, :], axis=0))
 
 
@@ -372,23 +371,10 @@ def run_min_singular_cdf(
 
 
 def _ber_block(g, n, variance, floor, max_attempts, count):
-    h = _normalized_block(g, count, n)
     if floor > 0.0:
-        attempts = 1
-        while True:
-            smin = np.linalg.svd(h, compute_uv=False)[:, -1]
-            bad = smin < floor
-            n_bad = int(np.count_nonzero(bad))
-            if n_bad == 0:
-                break
-            attempts += 1
-            if attempts > max_attempts:
-                raise SamplingExhaustedError(
-                    f"no draw with sigma_min >= {floor} for {n_bad} of {count} "
-                    f"slots within {max_attempts} attempts (n={n})",
-                    attempts=max_attempts,
-                )
-            h[bad] = _normalized_block(g, n_bad, n)
+        h = _floored_stack(g, count, n, floor, max_attempts)[0]
+    else:
+        h = _normalized(complex_gaussian((count, n, n), g))
     bits = g.integers(0, 2, size=(count, 2 * n))
     x = qpsk_modulate(bits)
     noise = _cn_noise((count, n), variance, g)
@@ -429,21 +415,19 @@ def run_ber_sweep(
     (``se_paired_diff``) is far smaller than for independent runs.  Rows
     with fewer than ``LOW_CONFIDENCE_ERRORS`` accumulated bit errors carry
     ``low_confidence = 1``.
+
+    A positive ``sigma_min_floor`` draws each block's channels with the
+    rejection kernel of :func:`lindet.channel.sample_floored`; the floor
+    rules are checked before any block runs, so a floor of ``sqrt(n)`` or
+    more raises :class:`SamplingExhaustedError` with ``attempts == 0`` at
+    once.  A block raises it with ``attempts == max_attempts`` as soon as
+    one of its trials has been rejected ``max_attempts`` times.
     """
     _check_run((n,), trials, master_seed, workers)
-    floor = float(sigma_min_floor)
-    if floor < 0:
-        raise ValueError("sigma_min_floor must be >= 0")
     snr_grid_db = tuple(float(s) for s in snr_grid_db)
     if not snr_grid_db:
         raise ValueError("snr_grid_db must be nonempty")
-    if floor >= math.sqrt(n):
-        # sum(s_i^2) = N^2 forces sigma_N <= sqrt(N); no draw can clear the floor.
-        raise SamplingExhaustedError(
-            f"sigma_min floor {floor} is unattainable: normalized {n}x{n} channels "
-            f"have sigma_min <= sqrt({n}) = {math.sqrt(n):.6g}",
-            attempts=0,
-        )
+    floor = _check_floor(n, sigma_min_floor, max_attempts)
     rows = []
     bits_per_trial = 2 * n
     for si, snr_db in enumerate(snr_grid_db):
@@ -516,13 +500,11 @@ def run_cond_ratio_sweep(
     """
     _check_run((n,), trials, master_seed, workers)
     cond_target = float(cond_target)
-    if cond_target < 1:
-        raise ValueError("cond_target must be >= 1")
     sigma_min_grid = tuple(float(s) for s in sigma_min_grid)
     if not sigma_min_grid:
         raise ValueError("sigma_min_grid must be nonempty")
-    if any(s <= 0 for s in sigma_min_grid):
-        raise ValueError("sigma_min_grid values must be > 0")
+    for sigma_min in sigma_min_grid:
+        _check_spectrum(cond_target, sigma_min)
     variance = noise_var_from_inverse_snr(snr_db).variance
     noise = NoiseModel(variance)
     rows = []

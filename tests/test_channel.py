@@ -124,10 +124,11 @@ class TestNormalize:
 
 class TestSampleFloored:
     def test_zero_floor_accepts_first_draw(self):
-        stream = RngStream(7, (3,))
-        floored = channel.sample_floored(4, 0.0, stream)
-        manual = channel.normalize(channel.sample_standard_gaussian(4, stream))
-        np.testing.assert_array_equal(floored.matrix, manual.matrix)
+        for seed in range(7, 12):
+            stream = RngStream(seed, (3,))
+            floored = channel.sample_floored(4, 0.0, stream)
+            manual = channel.normalize(channel.sample_standard_gaussian(4, stream))
+            np.testing.assert_array_equal(floored.matrix, manual.matrix)
 
     def test_floor_postcondition(self):
         real = channel.sample_floored(4, 0.3, RngStream(8))
@@ -139,11 +140,29 @@ class TestSampleFloored:
         real = channel.sample_floored(4, 0.3, RngStream(9))
         assert float(np.sum(real.spectrum**2)) == pytest.approx(16.0, rel=1e-8)
 
-    def test_exhaustion_raises(self):
-        # sigma_min above the max possible value sqrt(N) can never be accepted
+    @pytest.mark.parametrize("floor", [2.5, 10.0])
+    def test_unattainable_floor_raises_without_drawing(self, floor, monkeypatch):
+        # sigma_N <= sqrt(N) = 2 for normalized 4x4 channels
+        def no_draws(*args):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(channel, "complex_gaussian", no_draws)
         with pytest.raises(SamplingExhaustedError) as err:
-            channel.sample_floored(4, 10.0, RngStream(10), max_attempts=50)
+            channel.sample_floored(4, floor, RngStream(10))
+        assert err.value.attempts == 0
+
+    def test_exhaustion_raises(self):
+        # feasible for N = 4 but far too improbable to be met in 50 draws
+        with pytest.raises(SamplingExhaustedError) as err:
+            channel.sample_floored(4, 1.9, RngStream(10), max_attempts=50)
         assert err.value.attempts == 50
+
+    @pytest.mark.parametrize(
+        "floor, max_attempts", [(math.nan, 10), (math.inf, 10), (-0.1, 10), (0.3, 0)]
+    )
+    def test_rejects_bad_floor_or_budget(self, floor, max_attempts):
+        with pytest.raises(ValueError):
+            channel.sample_floored(4, floor, RngStream(10), max_attempts=max_attempts)
 
     def test_acceptance_rate_matches_unconstrained_tail(self):
         # Estimate P[sigma_min >= 0.3] two ways: direct Monte Carlo on the
@@ -168,6 +187,64 @@ class TestSampleFloored:
         p_rejection = accepted / trials
         se = math.sqrt(2 * p_oracle * (1 - p_oracle) / trials)
         assert abs(p_rejection - p_oracle) <= 3 * se
+
+
+def _whole_block_reference(g, count, n, floor, max_attempts):
+    """The former block-wide rejection loop, kept as the reference.
+
+    Every round decomposes the whole block again and redraws the rejected
+    slots, in ascending order, as one stacked draw.
+    """
+
+    def normalized_block(k):
+        raw = channel.complex_gaussian((k, n, n), g)
+        return raw * (n / np.linalg.norm(raw, axis=(1, 2)))[:, None, None]
+
+    h = normalized_block(count)
+    attempts = 1
+    while True:
+        bad = np.linalg.svd(h, compute_uv=False)[:, -1] < floor
+        n_bad = int(np.count_nonzero(bad))
+        if n_bad == 0:
+            return h
+        attempts += 1
+        if attempts > max_attempts:
+            raise SamplingExhaustedError("exhausted", attempts=max_attempts)
+        h[bad] = normalized_block(n_bad)
+
+
+class TestFlooredStack:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_whole_block_reference(self, seed):
+        stream = RngStream(seed, (5,))
+        h, s = channel._floored_stack(stream.generator(), 3000, 4, 0.3, 1000)
+        expected = _whole_block_reference(stream.generator(), 3000, 4, 0.3, 1000)
+        np.testing.assert_array_equal(h, expected)
+        np.testing.assert_array_equal(s, np.linalg.svd(h, compute_uv=False))
+        assert np.all(s[:, -1] >= 0.3)
+
+    def test_decomposes_each_draw_once(self, monkeypatch):
+        drawn, decomposed = [], []
+        draw, svd = channel.complex_gaussian, np.linalg.svd
+
+        def recording_draw(shape, g):
+            drawn.append(shape[0])
+            return draw(shape, g)
+
+        def recording_svd(a, *args, **kwargs):
+            decomposed.append(a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(channel, "complex_gaussian", recording_draw)
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        channel._floored_stack(RngStream(6).generator(), 2000, 4, 0.5, 1000)
+        assert len(drawn) > 1 and sum(drawn) > 2000
+        assert sum(decomposed) == sum(drawn)
+
+    def test_exhausts_at_the_budget(self):
+        with pytest.raises(SamplingExhaustedError) as err:
+            channel._floored_stack(RngStream(7).generator(), 64, 4, 1.9, 5)
+        assert err.value.attempts == 5
 
 
 class TestSynthesizeSpectrum:
@@ -197,6 +274,14 @@ class TestSynthesizeSpectrum:
     def test_rejects_cond_below_one(self):
         with pytest.raises(ValueError):
             channel.synthesize_spectrum(4, 0.5, 0.1, RngStream(16))
+
+    @pytest.mark.parametrize(
+        "cond, sigma_min",
+        [(math.nan, 0.1), (math.inf, 0.1), (2.0, math.nan), (2.0, math.inf), (2.0, 0.0)],
+    )
+    def test_rejects_non_finite_or_nonpositive_endpoints(self, cond, sigma_min):
+        with pytest.raises(ValueError):
+            channel.synthesize_spectrum(4, cond, sigma_min, RngStream(16))
 
     def test_rejects_unknown_interior(self):
         with pytest.raises(ValueError):

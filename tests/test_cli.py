@@ -62,6 +62,12 @@ class TestExitCodes:
         assert "unattainable" in capsys.readouterr().err
         assert not (tmp_path / "ber.csv").exists()
 
+    def test_non_finite_floor_fails(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["ber", "--n", "4", "--snr", "10", "--sigma-min", "nan"]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "ber.csv").exists()
+
     def test_unwritable_output_is_runtime_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = run(

@@ -109,6 +109,24 @@ class TestRunnerChecks:
         with pytest.raises(ValueError):
             run_ber_sweep(4, [10.0], sigma_min_floor=-0.1, trials=1)
 
+    @pytest.mark.parametrize("floor", [math.nan, math.inf])
+    def test_ber_rejects_non_finite_floor(self, floor):
+        with pytest.raises(ValueError):
+            run_ber_sweep(4, [10.0], sigma_min_floor=floor, trials=1)
+
+    def test_ber_rejects_zero_attempt_budget(self):
+        with pytest.raises(ValueError):
+            run_ber_sweep(4, [10.0], sigma_min_floor=0.3, trials=1, max_attempts=0)
+
+    @pytest.mark.parametrize(
+        "cond, sigma_mins",
+        [(math.nan, [0.1]), (15.0, [0.1, math.nan]), (15.0, [math.inf])],
+        ids=["cond-nan", "sigma-min-nan", "sigma-min-inf"],
+    )
+    def test_cond_ratio_rejects_non_finite_spectrum(self, cond, sigma_mins):
+        with pytest.raises(ValueError):
+            run_cond_ratio_sweep(4, cond, sigma_mins, trials=1)
+
     def test_cond_ratio_rejects_target_below_one(self):
         with pytest.raises(ValueError):
             run_cond_ratio_sweep(4, 0.5, [0.1], trials=1)
@@ -245,10 +263,12 @@ class TestRunBerSweep:
             assert row["low_confidence"] == 1
 
     def test_floor_exhaustion_propagates(self):
-        with pytest.raises(SamplingExhaustedError):
+        # feasible for N = 4, so the block runs, but far too improbable for 5 draws
+        with pytest.raises(SamplingExhaustedError) as err:
             run_ber_sweep(
-                4, [10.0], sigma_min_floor=10.0, trials=64, master_seed=1, max_attempts=5
+                4, [10.0], sigma_min_floor=1.9, trials=64, master_seed=1, max_attempts=5
             )
+        assert err.value.attempts == 5
 
     def test_unattainable_floor_raises_before_any_block(self, monkeypatch):
         def no_blocks(*args):
