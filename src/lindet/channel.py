@@ -5,7 +5,10 @@ symmetric complex Gaussians (real and imaginary parts each with variance
 1/2).  Derived ensembles rescale each realization so the squared Frobenius
 norm equals ``N**2``, optionally reject draws whose smallest singular value
 falls below a floor, or synthesize a channel with a prescribed spectrum
-from independent Haar-random unitary factors.
+from independent Haar-random unitary factors.  Each has one kernel on
+stacks ``(count, n, n)``, with one check of its inputs: the public
+functions use stacks of one and the runners of :mod:`lindet.experiments`
+whole blocks, so both give the same bits from the same draws.
 
 All sampling routines are pure functions of an :class:`RngStream` value, so
 identical streams reproduce identical draws regardless of process or worker
@@ -126,14 +129,13 @@ def normalize(h) -> ChannelRealization:
     Raises
     ------
     DegenerateInputError
-        If ``h`` is all zero.
+        If ``h`` has zero Frobenius norm (is all zero or underflows).
     """
     m = linalg._require_square(linalg.as_complex_matrix(h, name="channel"), "channel")
-    fro = float(np.linalg.norm(m))
-    if fro == 0.0:
-        raise DegenerateInputError("cannot normalize an all-zero channel")
-    n = m.shape[0]
-    scaled = m * (n / fro)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = _normalized(m)
+    if not np.all(np.isfinite(scaled)):
+        raise DegenerateInputError("cannot normalize a channel whose Frobenius norm is zero")
     spectrum = linalg.singular_values(scaled)
     return ChannelRealization(matrix=scaled, spectrum=spectrum, provenance="normalized")
 
@@ -147,47 +149,25 @@ def sample_floored(
     """Normalized Gaussian channel conditioned on ``sigma_N >= sigma_min``.
 
     Draws standard complex Gaussian channels, normalizes each, and accepts
-    the first whose smallest singular value clears the floor.
+    the first whose smallest singular value clears the floor, with the
+    rejection kernel of the floored BER runner.
 
     Raises
     ------
     SamplingExhaustedError
-        At once, with ``attempts == 0`` and without drawing, when the floor
-        is ``sqrt(n)`` or more: no normalized channel can clear it.
-        Otherwise after ``max_attempts`` rejected draws, which signals a
-        floor improbably high for the requested dimension.
+        At once, with ``attempts == 0``, if the floor is ``sqrt(n)`` or more,
+        which no normalized channel clears; else after ``max_attempts``
+        rejected draws, a sign that the floor is improbably high.
     """
     if n < 1:
         raise DimensionError(f"dimension must be >= 1, got {n}")
     floor = _check_floor(n, sigma_min, max_attempts)
-    g = rng.generator()
-    for _ in range(max_attempts):
-        raw = complex_gaussian((n, n), g)
-        fro = float(np.linalg.norm(raw))
-        if fro == 0.0:  # probability zero, but keep the loop total
-            continue
-        scaled = raw * (n / fro)
-        spectrum = np.linalg.svd(scaled, compute_uv=False)
-        if spectrum[-1] >= floor:
-            return ChannelRealization(
-                matrix=scaled,
-                spectrum=spectrum,
-                provenance="floored",
-                sigma_min=floor,
-            )
-    raise SamplingExhaustedError(
-        f"no draw with sigma_min >= {floor} in {max_attempts} attempts (n={n})",
-        attempts=max_attempts,
-    )
+    h, s = _floored_stack(rng.generator(), 1, n, floor, max_attempts)
+    return ChannelRealization(matrix=h[0], spectrum=s[0], provenance="floored", sigma_min=floor)
 
 
 def _check_floor(n: int, sigma_min: float, max_attempts: int) -> float:
-    """The floored-sampling input rules; returns the floor as a float.
-
-    The floor must be finite and >= 0 and ``max_attempts`` >= 1.  A floor of
-    ``sqrt(n)`` or more raises :class:`SamplingExhaustedError` with
-    ``attempts == 0``: ``sum(s_i^2) = n^2`` forces ``sigma_N <= sqrt(n)``.
-    """
+    """The floor as a float; ``sigma_N <= sqrt(n)`` makes a floor that high fail at once."""
     floor = float(sigma_min)
     if not math.isfinite(floor) or floor < 0.0:
         raise ValueError(f"sigma_min must be finite and >= 0, got {sigma_min!r}")
@@ -209,16 +189,11 @@ def _normalized(m: np.ndarray) -> np.ndarray:
 
 
 def _floored_stack(g: np.random.Generator, count: int, n: int, floor: float, max_attempts: int):
-    """Stack ``(count, n, n)`` of normalized channels with ``sigma_N >= floor``.
+    """Normalized stack ``(count, n, n)`` with ``sigma_N >= floor``, and its spectra.
 
-    Returns the stack and its singular values ``(count, n)``.  Every draw is
-    decomposed once.  Each round redraws all rejected slots, in ascending
-    slot order, as one stacked draw from ``g``.
-
-    Raises
-    ------
-    SamplingExhaustedError
-        As soon as one slot has been rejected ``max_attempts`` times.
+    Each round redraws the rejected slots, in ascending order, as one stacked
+    draw and decomposes only those.  The sampling is exhausted as soon as one
+    slot has been rejected ``max_attempts`` times.
     """
     h = _normalized(complex_gaussian((count, n, n), g))
     s = np.linalg.svd(h, compute_uv=False)
@@ -232,9 +207,8 @@ def _floored_stack(g: np.random.Generator, count: int, n: int, floor: float, max
                 f"slots within {max_attempts} attempts (n={n})",
                 attempts=max_attempts,
             )
-        redrawn = _normalized(complex_gaussian((bad.size, n, n), g))
-        h[bad] = redrawn
-        s[bad] = np.linalg.svd(redrawn, compute_uv=False)
+        h[bad] = _normalized(complex_gaussian((bad.size, n, n), g))
+        s[bad] = np.linalg.svd(h[bad], compute_uv=False)
         bad = bad[s[bad, -1] < floor]
     return h, s
 
@@ -293,18 +267,17 @@ def _synthesized_stack(spectrum: np.ndarray, count: int, generator: np.random.Ge
     return (u * spectrum) @ v.conj().swapaxes(-1, -2)
 
 
-def _check_spectrum(cond: float, sigma_min: float) -> tuple[float, float]:
-    """The prescribed-spectrum input rules; returns ``(cond, sigma_min)`` as floats.
-
-    ``cond`` must be finite and >= 1, ``sigma_min`` finite and > 0.
-    """
+def _check_spectrum(cond: float, sigma_mins) -> tuple[float, tuple[float, ...]]:
+    """``cond`` and ``sigma_mins`` as floats, once they pass the prescribed-spectrum rules."""
     c = float(cond)
     if not math.isfinite(c) or c < 1.0:
         raise ValueError(f"cond must be finite and >= 1, got {cond!r}")
-    smin = float(sigma_min)
-    if not math.isfinite(smin) or smin <= 0.0:
-        raise ValueError(f"sigma_min must be finite and > 0, got {sigma_min!r}")
-    return c, smin
+    smins = tuple(float(x) for x in sigma_mins)
+    if not smins:
+        raise ValueError("sigma_min grid must be nonempty")
+    if not all(x > 0.0 and math.isfinite(c * x) for x in smins):
+        raise ValueError(f"sigma_min must be > 0 with cond * sigma_min finite, got {sigma_mins!r}")
+    return c, smins
 
 
 def synthesize_spectrum(
@@ -331,7 +304,7 @@ def synthesize_spectrum(
     """
     if n < 2:
         raise DimensionError(f"dimension must be >= 2, got {n}")
-    c, smin = _check_spectrum(cond, sigma_min)
+    c, (smin,) = _check_spectrum(cond, [sigma_min])
     s = _spectrum_profile(n, c, smin, interior)
     return ChannelRealization(
         matrix=_synthesized_stack(s, 1, rng.generator())[0],

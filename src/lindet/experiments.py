@@ -308,8 +308,7 @@ def run_gain_sweep(
 
 
 def _cdf_block(g, n, grid, count):
-    s = np.linalg.svd(_normalized(complex_gaussian((count, n, n), g)), compute_uv=False)
-    smin = s[:, -1]
+    smin = np.linalg.svd(_normalized(complex_gaussian((count, n, n), g)), compute_uv=False)[:, -1]
     return (count, np.count_nonzero(smin[:, None] <= np.asarray(grid)[None, :], axis=0))
 
 
@@ -414,14 +413,9 @@ def run_ber_sweep(
     difference is a paired statistic and its standard error
     (``se_paired_diff``) is far smaller than for independent runs.  Rows
     with fewer than ``LOW_CONFIDENCE_ERRORS`` accumulated bit errors carry
-    ``low_confidence = 1``.
-
-    A positive ``sigma_min_floor`` draws each block's channels with the
-    rejection kernel of :func:`lindet.channel.sample_floored`; the floor
-    rules are checked before any block runs, so a floor of ``sqrt(n)`` or
-    more raises :class:`SamplingExhaustedError` with ``attempts == 0`` at
-    once.  A block raises it with ``attempts == max_attempts`` as soon as
-    one of its trials has been rejected ``max_attempts`` times.
+    ``low_confidence = 1``.  A positive ``sigma_min_floor`` uses the rejection
+    kernel, checks and per-trial ``max_attempts`` of
+    :func:`lindet.channel.sample_floored`; the checks run before any block.
     """
     _check_run((n,), trials, master_seed, workers)
     snr_grid_db = tuple(float(s) for s in snr_grid_db)
@@ -499,12 +493,7 @@ def run_cond_ratio_sweep(
     alongside the Monte Carlo mean of the exact ratio.
     """
     _check_run((n,), trials, master_seed, workers)
-    cond_target = float(cond_target)
-    sigma_min_grid = tuple(float(s) for s in sigma_min_grid)
-    if not sigma_min_grid:
-        raise ValueError("sigma_min_grid must be nonempty")
-    for sigma_min in sigma_min_grid:
-        _check_spectrum(cond_target, sigma_min)
+    cond_target, sigma_min_grid = _check_spectrum(cond_target, sigma_min_grid)
     variance = noise_var_from_inverse_snr(snr_db).variance
     noise = NoiseModel(variance)
     rows = []

@@ -120,8 +120,8 @@ class TestRunnerChecks:
 
     @pytest.mark.parametrize(
         "cond, sigma_mins",
-        [(math.nan, [0.1]), (15.0, [0.1, math.nan]), (15.0, [math.inf])],
-        ids=["cond-nan", "sigma-min-nan", "sigma-min-inf"],
+        [(math.nan, [0.1]), (15.0, [0.1, math.nan]), (15.0, [math.inf]), (1e300, [1e10])],
+        ids=["cond-nan", "sigma-min-nan", "sigma-min-inf", "top-overflows"],
     )
     def test_cond_ratio_rejects_non_finite_spectrum(self, cond, sigma_mins):
         with pytest.raises(ValueError):

@@ -9,6 +9,14 @@ The ("gain", "json") and ("library", "bytes") hashes were recorded again
 when the MMSE SNR denominator term ``N b - a`` became a cancellation-free
 sum of squares; the gain CSV rounds to nine digits and did not move.
 
+The ("props", "csv") and ("library", "bytes") hashes were recorded again
+when ``normalize`` and ``sample_floored`` moved onto the runners'
+normalizer, a norm over the last two axes of a stack, which rounds
+differently from the flat 2-D norm they used before.  The props table
+moved only in the ``power_normalization`` detail (worst relative
+deviation 6.661e-16 instead of 8.882e-16); the twelve CLI hashes did not
+move.
+
 The hashes were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
 (scipy-openblas, Haswell kernels), CPython 3.11, x86_64.  Another numpy
 or BLAS build may round an SVD or a solve differently in the last bit and
@@ -61,8 +69,8 @@ GOLDEN = {
     ("ber-floored", "json"): "65708f5293d1410d10f3e68e6c85be394fe7cba2499f7bf65b1e2d19865797d9",
     ("condratio", "csv"): "76125d9cae81a1a43bc665bc8b49822caffe8f927e24af3f5d0132e59579389d",
     ("condratio", "json"): "676c8681f9cc899ef731643206c69ab2955752b1c997f880e3b6095220808589",
-    ("props", "csv"): "e91e5d7f1c335addf33b632f84d5514e0cd5e2bcd7e454ea7a0a793765b41bb9",
-    ("library", "bytes"): "905040a950a3aa594a395eaba767b70debe972d25146c67a97d0acae4e74c616",
+    ("props", "csv"): "c11d7b4a40c884f801d34c71ad098e34954bf325a67c9b298017f64477c5f8f4",
+    ("library", "bytes"): "96cac26eca8b830b0518b44b47b5eedbf94bdd6c49561b724b4eddba407e7f75",
 }
 
 
