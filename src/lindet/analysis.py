@@ -32,7 +32,7 @@ import numpy as np
 
 from . import linalg
 from .channel import NoiseModel, RngStream, _cn_noise
-from .detection import FilterMatrix, mmse_filter, qpsk_modulate, zf_filter
+from .detection import FilterMatrix, _filters, _guarded_channel, qpsk_modulate
 from .exceptions import DimensionError, FormulaDomainError, SingularMatrixError
 
 #: Relative magnitude below which the MMSE SNR denominator is treated as the
@@ -114,19 +114,21 @@ def cond_ratio_exact(h, noise: NoiseModel) -> CondRatioReport:
     and fills in :func:`cond_ratio_approx` evaluated at the channel's
     extreme singular values.
     """
-    m = linalg.as_complex_matrix(h, name="channel")
-    w_zf = zf_filter(m)
-    w_mmse = mmse_filter(m, noise)
-    cond_zf = linalg.condition_number(w_zf.matrix)
-    cond_mmse = linalg.condition_number(w_mmse.matrix)
+    m = _guarded_channel(h, 0.0)
+    cond_zf, cond_mmse = _filter_conds(m[None], noise.variance)[:, 0].tolist()
     s = linalg.singular_values(m)
-    approx = cond_ratio_approx(float(s[0]), float(s[-1]), noise)
     return CondRatioReport(
         exact_ratio=cond_mmse / cond_zf,
-        approx_ratio=approx,
+        approx_ratio=cond_ratio_approx(float(s[0]), float(s[-1]), noise),
         cond_w_zf=cond_zf,
         cond_w_mmse=cond_mmse,
     )
+
+
+def _filter_conds(h: np.ndarray, variance: float) -> np.ndarray:
+    """Rows ``(cond(W_zf), cond(W_mmse))`` for a stack ``(count, n, n)``, by one batched SVD."""
+    sv = np.linalg.svd(np.stack(_filters(h, 0.0, variance)), compute_uv=False)
+    return sv[..., 0] / sv[..., -1]
 
 
 def _zf_snr(s: np.ndarray, variance: float):

@@ -188,29 +188,32 @@ def _normalized(m: np.ndarray) -> np.ndarray:
     return m * (n / np.linalg.norm(m, axis=(-2, -1)))[..., None, None]
 
 
+def _normalized_draw(g: np.random.Generator, count: int, n: int):
+    """Normalized CN(0, 1) stack ``(count, n, n)`` and its descending spectra."""
+    h = _normalized(complex_gaussian((count, n, n), g))
+    return h, np.linalg.svd(h, compute_uv=False)
+
+
 def _floored_stack(g: np.random.Generator, count: int, n: int, floor: float, max_attempts: int):
     """Normalized stack ``(count, n, n)`` with ``sigma_N >= floor``, and its spectra.
 
-    Each round redraws the rejected slots, in ascending order, as one stacked
+    Each round draws the slots still open, in ascending order, as one stacked
     draw and decomposes only those.  The sampling is exhausted as soon as one
     slot has been rejected ``max_attempts`` times.
     """
-    h = _normalized(complex_gaussian((count, n, n), g))
-    s = np.linalg.svd(h, compute_uv=False)
-    bad = np.flatnonzero(s[:, -1] < floor)
-    rejections = 0
-    while bad.size:
-        rejections += 1
-        if rejections == max_attempts:
-            raise SamplingExhaustedError(
-                f"no draw with sigma_min >= {floor} for {bad.size} of {count} "
-                f"slots within {max_attempts} attempts (n={n})",
-                attempts=max_attempts,
-            )
-        h[bad] = _normalized(complex_gaussian((bad.size, n, n), g))
-        s[bad] = np.linalg.svd(h[bad], compute_uv=False)
+    h = np.empty((count, n, n), dtype=np.complex128)
+    s = np.empty((count, n))
+    bad = np.arange(count)
+    for _ in range(max_attempts):
+        h[bad], s[bad] = _normalized_draw(g, bad.size, n)
         bad = bad[s[bad, -1] < floor]
-    return h, s
+        if not bad.size:
+            return h, s
+    raise SamplingExhaustedError(
+        f"no draw with sigma_min >= {floor} for {bad.size} of {count} "
+        f"slots within {max_attempts} attempts (n={n})",
+        attempts=max_attempts,
+    )
 
 
 def haar_unitary(n: int, generator: np.random.Generator) -> np.ndarray:

@@ -89,10 +89,8 @@ def zf_filter(h) -> FilterMatrix:
     amplification by the inverse singular values.  Numerically singular
     channels raise :class:`~lindet.exceptions.SingularMatrixError`.
     """
-    m = linalg._require_square(linalg.as_complex_matrix(h, name="channel"), "channel")
-    sigma = linalg.gram(m)
-    w = linalg.inverse(sigma) @ m.conj().T
-    return FilterMatrix(kind="zf", noise_variance=0.0, matrix=w)
+    m = _guarded_channel(h, 0.0)
+    return FilterMatrix(kind="zf", noise_variance=0.0, matrix=_filters(m[None], 0.0)[0][0])
 
 
 def mmse_filter(h, noise: NoiseModel) -> FilterMatrix:
@@ -101,24 +99,23 @@ def mmse_filter(h, noise: NoiseModel) -> FilterMatrix:
     Regularizes the Gram matrix with the noise variance; at zero variance
     it coincides with :func:`zf_filter`.
     """
-    m = linalg._require_square(linalg.as_complex_matrix(h, name="channel"), "channel")
-    n = m.shape[0]
-    gamma = linalg.gram(m) + noise.variance * np.eye(n)
-    w = linalg.inverse(gamma) @ m.conj().T
+    m = _guarded_channel(h, noise.variance)
+    w = _filters(m[None], noise.variance)[0][0]
     return FilterMatrix(kind="mmse", noise_variance=noise.variance, matrix=w)
 
 
-def _filter_pair(h: np.ndarray, variance: float) -> tuple[np.ndarray, np.ndarray]:
-    """ZF and MMSE filters of a stack ``(count, n, n)`` of channels.
+def _guarded_channel(h, variance: float) -> np.ndarray:
+    """Square finite channel whose ``H^H H + variance I`` passes the singularity guard."""
+    m = linalg._require_square(linalg.as_complex_matrix(h, name="channel"), "channel")
+    linalg._nonsingular(linalg.gram(m) + variance * np.eye(len(m)), "Gram matrix is singular")
+    return m
 
-    Solves the Gram systems directly; the public filters invert instead, and
-    the two roundings differ in the last bits.  No validation.
-    """
+
+def _filters(h: np.ndarray, *variances: float) -> list[np.ndarray]:
+    """Filters ``(H^H H + v I)^{-1} H^H`` of a stack, one solve per ``v`` (0 is ZF); unchecked."""
     hh = h.conj().swapaxes(-1, -2)
     gram = hh @ h
-    w_zf = np.linalg.solve(gram, hh)
-    w_mmse = np.linalg.solve(gram + variance * np.eye(h.shape[-1]), hh)
-    return w_zf, w_mmse
+    return [np.linalg.solve(gram + v * np.eye(h.shape[-1]) if v else gram, hh) for v in variances]
 
 
 def equalize_and_slice(w: FilterMatrix, r) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .analysis import _mmse_snr_terms, _zf_snr, cond_ratio_approx, edelman_tail
+from .analysis import _filter_conds, _mmse_snr_terms, _zf_snr, cond_ratio_approx, edelman_tail
 from .channel import (
     DEFAULT_MAX_ATTEMPTS,
     NoiseModel,
@@ -38,11 +38,12 @@ from .channel import (
     _cn_noise,
     _floored_stack,
     _normalized,
+    _normalized_draw,
     _spectrum_profile,
     _synthesized_stack,
     complex_gaussian,
 )
-from .detection import _filter_pair, qpsk_modulate, qpsk_slice
+from .detection import _filters, qpsk_modulate, qpsk_slice
 from .exceptions import DimensionError
 
 _BLOCK = 8192
@@ -203,7 +204,7 @@ def _result_table(
 
 
 def _table1_block(g, n, count):
-    s = np.linalg.svd(_normalized(complex_gaussian((count, n, n), g)), compute_uv=False)
+    s = _normalized_draw(g, count, n)[1]
     smin = s[:, -1]
     cond = s[:, 0] / s[:, -1]
     return (
@@ -253,7 +254,7 @@ def run_table1(
 
 
 def _gain_block(g, n, variance, count):
-    s = np.linalg.svd(_normalized(complex_gaussian((count, n, n), g)), compute_uv=False)
+    s = _normalized_draw(g, count, n)[1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         numerator, denominator = _mmse_snr_terms(s, variance)
         gain = 10.0 * np.log10(numerator / denominator / _zf_snr(s, variance))
@@ -308,7 +309,7 @@ def run_gain_sweep(
 
 
 def _cdf_block(g, n, grid, count):
-    smin = np.linalg.svd(_normalized(complex_gaussian((count, n, n), g)), compute_uv=False)[:, -1]
+    smin = _normalized_draw(g, count, n)[1][:, -1]
     return (count, np.count_nonzero(smin[:, None] <= np.asarray(grid)[None, :], axis=0))
 
 
@@ -379,7 +380,7 @@ def _ber_block(g, n, variance, floor, max_attempts, count):
     noise = _cn_noise((count, n), variance, g)
     # Both detectors see the identical (H, x, n) triple per trial.
     r = np.einsum("bij,bj->bi", h, x) + noise
-    w_zf, w_mmse = _filter_pair(h, variance)
+    w_zf, w_mmse = _filters(h, 0.0, variance)
     k_zf = np.count_nonzero(qpsk_slice(np.einsum("bij,bj->bi", w_zf, r)) != bits, axis=1)
     k_mmse = np.count_nonzero(qpsk_slice(np.einsum("bij,bj->bi", w_mmse, r)) != bits, axis=1)
     diff = k_zf - k_mmse
@@ -459,11 +460,7 @@ def run_ber_sweep(
 
 
 def _cond_ratio_block(g, n, spectrum, variance, count):
-    w_zf, w_mmse = _filter_pair(_synthesized_stack(spectrum, count, g), variance)
-    sv_zf = np.linalg.svd(w_zf, compute_uv=False)
-    sv_mmse = np.linalg.svd(w_mmse, compute_uv=False)
-    cond_zf = sv_zf[:, 0] / sv_zf[:, -1]
-    cond_mmse = sv_mmse[:, 0] / sv_mmse[:, -1]
+    cond_zf, cond_mmse = _filter_conds(_synthesized_stack(spectrum, count, g), variance)
     ratio = cond_mmse / cond_zf
     return (
         count,

@@ -108,6 +108,29 @@ class TestCondRatioExact:
         assert abs(report.exact_ratio - report.approx_ratio) / report.exact_ratio <= 0.10
 
 
+    def test_equals_the_stacked_kernel(self):
+        h = complex_gaussian((4, 4), RngStream(66).generator())
+        report = analysis.cond_ratio_exact(h, NoiseModel(0.3))
+        cond_zf, cond_mmse = analysis._filter_conds(h[None], 0.3)
+        assert report.cond_w_zf == float(cond_zf[0])
+        assert report.cond_w_mmse == float(cond_mmse[0])
+        assert report.exact_ratio == float(cond_mmse[0]) / float(cond_zf[0])
+
+    @pytest.mark.parametrize(
+        "h, error",
+        [
+            (np.ones((2, 3)), DimensionError),
+            (np.array([[1.0, np.inf], [0.0, 1.0]]), ValueError),
+            (np.diag([1.0, 0.0]), SingularMatrixError),
+            (np.ones((3, 3)), SingularMatrixError),
+        ],
+        ids=["not-square", "inf", "singular", "rank-one"],
+    )
+    def test_bad_channels_raise(self, h, error):
+        with pytest.raises(error):
+            analysis.cond_ratio_exact(h, NoiseModel(0.3))
+
+
 class TestSnrZf:
     def test_orthogonal_channel(self):
         # Equal spectrum sigma_i^2 = N: SNR is N / variance

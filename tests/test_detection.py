@@ -142,6 +142,45 @@ class TestMmseFilter:
         np.testing.assert_allclose(w.matrix, np.diag([1 / 1.5, 0.0]), atol=1e-12)
 
 
+class TestFilterKernel:
+    def test_public_filters_are_the_stacked_kernel(self):
+        g = RngStream(54).generator()
+        for n in (2, 4, 7):
+            h = normalize(complex_gaussian((n, n), g)).matrix
+            np.testing.assert_array_equal(
+                detection.zf_filter(h).matrix, detection._filters(h[None], 0.0)[0][0]
+            )
+            np.testing.assert_array_equal(
+                detection.mmse_filter(h, NoiseModel(0.1)).matrix,
+                detection._filters(h[None], 0.1)[0][0],
+            )
+
+    def test_stack_equals_its_members(self):
+        h = complex_gaussian((6, 4, 4), RngStream(55).generator())
+        w_zf, w_mmse = detection._filters(h, 0.0, 0.3)
+        for i in range(h.shape[0]):
+            one_zf, one_mmse = detection._filters(h[i : i + 1], 0.0, 0.3)
+            np.testing.assert_array_equal(w_zf[i], one_zf[0])
+            np.testing.assert_array_equal(w_mmse[i], one_mmse[0])
+
+    @pytest.mark.parametrize(
+        "h, error",
+        [
+            (np.ones((2, 3)), DimensionError),
+            (np.ones(3), DimensionError),
+            (np.array([[1.0, np.nan], [0.0, 1.0]]), ValueError),
+            (np.diag([1.0, 0.0]), SingularMatrixError),
+            (np.diag([1.0, 1e-7]), SingularMatrixError),
+        ],
+        ids=["not-square", "vector", "nan", "singular", "gram-below-rtol"],
+    )
+    def test_bad_channels_raise(self, h, error):
+        with pytest.raises(error):
+            detection.zf_filter(h)
+        with pytest.raises(error):
+            detection.mmse_filter(h, NoiseModel(0.0))
+
+
 class TestEqualizeAndSlice:
     def test_noiseless_zf_recovers_bits(self):
         g = RngStream(54).generator()

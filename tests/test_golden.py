@@ -17,6 +17,15 @@ moved only in the ``power_normalization`` detail (worst relative
 deviation 6.661e-16 instead of 8.882e-16); the twelve CLI hashes did not
 move.
 
+The ("library", "bytes") hash was recorded again when the public
+``zf_filter`` and ``mmse_filter`` moved onto the runners' filter kernel,
+which solves the Gram systems where the public filters used to invert the
+Gram matrix; the two round differently in the last bits, which moves the
+distortion-oracle SNR computed with ``zf_filter``.  In the same recording
+the stream gained ``mmse_filter`` and the four ``cond_ratio_exact``
+fields, which now share the runners' kernels too.  The twelve CLI hashes
+and the props hash did not move.
+
 The hashes were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
 (scipy-openblas, Haswell kernels), CPython 3.11, x86_64.  Another numpy
 or BLAS build may round an SVD or a solve differently in the last bit and
@@ -31,8 +40,10 @@ import pytest
 from lindet import (
     NoiseModel,
     RngStream,
+    cond_ratio_exact,
     empirical_distortion_snr,
     mmse_abc,
+    mmse_filter,
     normalize,
     qpsk_modulate,
     qpsk_slice,
@@ -70,7 +81,7 @@ GOLDEN = {
     ("condratio", "csv"): "76125d9cae81a1a43bc665bc8b49822caffe8f927e24af3f5d0132e59579389d",
     ("condratio", "json"): "676c8681f9cc899ef731643206c69ab2955752b1c997f880e3b6095220808589",
     ("props", "csv"): "c11d7b4a40c884f801d34c71ad098e34954bf325a67c9b298017f64477c5f8f4",
-    ("library", "bytes"): "96cac26eca8b830b0518b44b47b5eedbf94bdd6c49561b724b4eddba407e7f75",
+    ("library", "bytes"): "6673b2794402b2ffb37112e1a164307dcf7c841e3d71a44a76c74ad6ed459eab",
 }
 
 
@@ -122,6 +133,10 @@ def _library_bytes(tmp_path) -> bytes:
     parts.append(np.array([
         empirical_distortion_snr(h, zf_filter(h), NoiseModel(0.1), 9000, stream.child(6))
     ]))
+    parts.append(mmse_filter(h, NoiseModel(0.1)).matrix)
+    report = cond_ratio_exact(h, NoiseModel(0.1))
+    parts.append(np.array([report.exact_ratio, report.approx_ratio,
+                           report.cond_w_zf, report.cond_w_mmse]))
     table = run_cond_ratio_sweep(4, 15.0, [0.1, 1.0], trials=9000, master_seed=3,
                                  interior="geometric")
     cli.write_csv(table, str(tmp_path / "geometric.csv"))
