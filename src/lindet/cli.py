@@ -72,21 +72,35 @@ def _to_float_list(text: str) -> tuple[float, ...]:
     return vals
 
 
+#: The most points a ``min:max:step`` SNR range may have.
+_MAX_SNR_POINTS = 1000
+
+
 def _to_snr_grid(text: str) -> tuple[float, ...]:
     """Parse ``min:max:step`` (inclusive within half a step), a comma list,
-    or a single value, all in dB."""
+    or a single value, all in dB.
+
+    A range has finite parts, a step that advances every point and at most
+    ``_MAX_SNR_POINTS`` points, counted before any is built.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"SNR range must be min:max:step, got {text!r}")
         lo, hi, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (lo, hi, step)):
+            raise ValueError(f"SNR range parts must be finite, got {text!r}")
         if step <= 0:
             raise ValueError(f"SNR step must be > 0, got {step}")
         if hi < lo:
             raise ValueError(f"SNR range is empty: {text!r}")
+        if not (hi - lo) / step + 0.5 < _MAX_SNR_POINTS:
+            raise ValueError(f"SNR range {text!r} has more than {_MAX_SNR_POINTS} points")
         grid = []
         x = lo
         while x <= hi + step / 2:
+            if x + step == x:
+                raise ValueError(f"SNR step {step} does not advance from {x}")
             grid.append(round(x, 10))
             x += step
         return tuple(grid)
@@ -102,19 +116,21 @@ def _to_snr_grid(text: str) -> tuple[float, ...]:
 _SEED = ("master_seed", int)
 _COMMON = {"trials": ("trials", int), "seed": _SEED, "workers": ("workers", int)}
 
-#: command -> (runner, option -> (runner keyword, converter)).  The runner's
+#: command -> (runner name, option -> (runner keyword, converter)).  The runner
+#: is looked up on this module when the command runs, so replacing
+#: ``cli.run_*`` (a tracing wrapper, a test fake) takes effect.  The runner's
 #: signature owns every default: an option set by neither a flag nor
 #: ``--config`` is not passed.  ``props`` has no blocks to schedule, so it
 #: checks ``--workers`` and passes it nowhere (keyword None).
 _COMMANDS = {
-    "table1": (run_table1, {"dims": ("dims", _to_dims), **_COMMON}),
+    "table1": ("run_table1", {"dims": ("dims", _to_dims), **_COMMON}),
     "gain": (
-        run_gain_sweep,
+        "run_gain_sweep",
         {"dims": ("dims", _to_dims), "snr": ("snr_grid_db", _to_snr_grid), **_COMMON},
     ),
-    "cdf": (run_min_singular_cdf, {"dims": ("dims", _to_dims), **_COMMON}),
+    "cdf": ("run_min_singular_cdf", {"dims": ("dims", _to_dims), **_COMMON}),
     "ber": (
-        run_ber_sweep,
+        "run_ber_sweep",
         {
             "n": ("n", int),
             "snr": ("snr_grid_db", _to_snr_grid),
@@ -123,7 +139,7 @@ _COMMANDS = {
         },
     ),
     "condratio": (
-        run_cond_ratio_sweep,
+        "run_cond_ratio_sweep",
         {
             "n": ("n", int),
             "cond": ("cond_target", float),
@@ -132,7 +148,7 @@ _COMMANDS = {
             **_COMMON,
         },
     ),
-    "props": (run_property_suite, {"seed": _SEED, "workers": (None, int)}),
+    "props": ("run_property_suite", {"seed": _SEED, "workers": (None, int)}),
 }
 
 #: Options every command takes for the CLI itself: name -> (converter, default).
@@ -383,7 +399,7 @@ def run_cli(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        result = _COMMANDS[ns.command][0](**kwargs)
+        result = globals()[_COMMANDS[ns.command][0]](**kwargs)
         if ns.command == "props":
             return _report_props(result, kwargs["master_seed"], opts)
         _emit(result, opts)

@@ -92,16 +92,28 @@ def noise_var_from_snr(snr_db: float, n: int) -> NoiseModel:
     """Noise variance for a per-antenna receive SNR of ``snr_db`` dB.
 
     Under the N^2 channel power normalization the receive SNR per antenna
-    is ``N / variance``, so ``variance = N / 10**(snr_db / 10)``.
+    is ``N / variance``, so ``variance = N / 10**(snr_db / 10)``.  Raises
+    ``ValueError`` unless that is a finite number >= 0.
     """
     if n < 1:
         raise DimensionError(f"dimension must be >= 1, got {n}")
-    return NoiseModel(n / 10.0 ** (float(snr_db) / 10.0))
+    return _noise_model(lambda: n / 10.0 ** (float(snr_db) / 10.0), snr_db)
 
 
 def noise_var_from_inverse_snr(snr_db: float) -> NoiseModel:
-    """Noise variance under the ``1 / variance`` dB convention."""
-    return NoiseModel(10.0 ** (-float(snr_db) / 10.0))
+    """Noise variance under the ``1 / variance`` dB convention.
+
+    Raises ``ValueError`` unless it is a finite number >= 0.
+    """
+    return _noise_model(lambda: 10.0 ** (-float(snr_db) / 10.0), snr_db)
+
+
+def _noise_model(variance, snr_db) -> NoiseModel:
+    """``NoiseModel(variance())``; a power of ten beyond the float range is a ValueError."""
+    try:
+        return NoiseModel(variance())
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"SNR {snr_db!r} dB puts the noise variance out of range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +292,10 @@ def run_gain_sweep(
     snr_grid_db = tuple(float(s) for s in snr_grid_db)
     if not snr_grid_db:
         raise ValueError("snr_grid_db must be nonempty")
+    variances = [[noise_var_from_snr(snr_db, n).variance for snr_db in snr_grid_db] for n in dims]
     rows = []
-    for n in dims:
-        for si, snr_db in enumerate(snr_grid_db):
-            variance = noise_var_from_snr(snr_db, n).variance
+    for n, n_variances in zip(dims, variances):
+        for si, (snr_db, variance) in enumerate(zip(snr_grid_db, n_variances)):
             kept, sum_g, sum_g2, excluded = _reduce(
                 _gain_block, master_seed, (_TAG_GAIN, n, si), (n, variance), trials, workers
             )
@@ -423,10 +435,10 @@ def run_ber_sweep(
     if not snr_grid_db:
         raise ValueError("snr_grid_db must be nonempty")
     floor = _check_floor(n, sigma_min_floor, max_attempts)
+    variances = [noise_var_from_snr(snr_db, n).variance for snr_db in snr_grid_db]
     rows = []
     bits_per_trial = 2 * n
-    for si, snr_db in enumerate(snr_grid_db):
-        variance = noise_var_from_snr(snr_db, n).variance
+    for si, (snr_db, variance) in enumerate(zip(snr_grid_db, variances)):
         count, sum_z, sumsq_z, sum_m, sumsq_m, sumsq_d = _reduce(
             _ber_block, master_seed, (_TAG_BER, si), (n, variance, floor, max_attempts),
             trials, workers,

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from lindet import cli
+from lindet import cli, experiments
 from lindet.experiments import (
     _result_table,
     run_ber_sweep,
@@ -37,6 +37,44 @@ class TestGridParsing:
         with pytest.raises(ValueError):
             cli._to_snr_grid("0:10:0")
 
+    @staticmethod
+    def _reference_range(lo, hi, step):
+        grid = []
+        x = lo
+        while x <= hi + step / 2:
+            grid.append(round(x, 10))
+            x += step
+        return tuple(grid)
+
+    @pytest.mark.parametrize(
+        "lo, hi, step",
+        [(0, 45, 5), (0, 10, 3), (0, 1, 0.1), (-10, 10, 0.1), (-3.5, 7.25, 0.25), (0, 999, 1)],
+    )
+    def test_ranges_parse_as_before(self, lo, hi, step):
+        assert cli._to_snr_grid(f"{lo}:{hi}:{step}") == self._reference_range(lo, hi, step)
+
+    def test_range_at_the_point_cap(self):
+        assert len(cli._to_snr_grid(f"0:{cli._MAX_SNR_POINTS - 1}:1")) == cli._MAX_SNR_POINTS
+        with pytest.raises(ValueError, match="points"):
+            cli._to_snr_grid(f"0:{cli._MAX_SNR_POINTS}:1")
+
+    @pytest.mark.parametrize(
+        "text", ["0:1e12:1", "-1e308:1e308:1", "0:1e300:1e-300"], ids=["1e12", "overflow", "tiny"]
+    )
+    def test_huge_range_is_rejected_before_it_is_built(self, text, monkeypatch):
+        monkeypatch.setattr(cli, "round", lambda *a: pytest.fail("a point was built"), raising=False)
+        with pytest.raises(ValueError, match="points"):
+            cli._to_snr_grid(text)
+
+    @pytest.mark.parametrize("text", ["nan:1:1", "0:inf:1", "0:10:nan", "-inf:0:1"])
+    def test_non_finite_range_parts(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            cli._to_snr_grid(text)
+
+    def test_step_that_does_not_advance(self):
+        with pytest.raises(ValueError, match="advance"):
+            cli._to_snr_grid("1e20:1e20:1")
+
     def test_dims(self):
         assert cli._to_dims("2,4,8") == (2, 4, 8)
 
@@ -67,6 +105,31 @@ class TestExitCodes:
         assert run(["ber", "--n", "4", "--snr", "10", "--sigma-min", "nan"]) == 2
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "ber.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ber", "--snr", "4000"],
+            ["condratio", "--snr=-4000"],
+            ["gain", "--snr=-4000"],
+            ["gain", "--snr=-inf"],
+            ["ber", "--snr", "0,nan"],
+        ],
+        ids=["ber-4000", "condratio-minus-4000", "gain-minus-4000", "gain-minus-inf", "ber-nan"],
+    )
+    def test_snr_without_a_noise_variance_fails_fast(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(experiments, "_run_blocks", lambda *a: pytest.fail("a block ran"))
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("snr", ["1e20:1e20:1", "0:1e12:1", "nan:1:1"])
+    def test_bad_snr_range_is_a_usage_error(self, snr, capsys):
+        assert run(["ber", "--snr", snr]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
 
     def test_unwritable_output_is_runtime_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -263,9 +326,8 @@ class TestOptionTable:
             calls.append(kwargs)
             return [PropertyResult("fake", True, "ok")]
 
-        for command, (_, options) in list(cli._COMMANDS.items()):
-            fake = fake_suite if command == "props" else fake_runner
-            monkeypatch.setitem(cli._COMMANDS, command, (fake, options))
+        for command, (runner, _) in cli._COMMANDS.items():
+            monkeypatch.setattr(cli, runner, fake_suite if command == "props" else fake_runner)
         return calls
 
     @pytest.mark.parametrize("command", ["table1", "gain", "cdf", "ber", "condratio", "props"])
@@ -298,7 +360,20 @@ class TestOptionTable:
     def test_every_keyword_is_a_runner_parameter(self, command):
         runner, options = cli._COMMANDS[command]
         keywords = {kw for kw, _ in options.values() if kw is not None}
-        assert keywords <= set(inspect.signature(runner).parameters)
+        assert keywords <= set(inspect.signature(getattr(cli, runner)).parameters)
+
+    def test_runner_is_looked_up_on_the_module(self, monkeypatch, tmp_path):
+        # a wrapper bound onto cli.run_gain_sweep must see the CLI call
+        monkeypatch.chdir(tmp_path)
+        calls = []
+
+        def fake_gain(**kwargs):
+            calls.append(kwargs)
+            return _result_table("fake", [{"x": 1}], kwargs["master_seed"], 1, "none")
+
+        monkeypatch.setattr(cli, "run_gain_sweep", fake_gain)
+        assert run(["gain", "--dims", "2", "--snr", "0", "--trials", "1", "--seed", "4"]) == 0
+        assert calls == [{"dims": (2,), "snr_grid_db": (0.0,), "trials": 1, "master_seed": 4}]
 
     @pytest.mark.parametrize("runner", list(CLI_DEFAULTS), ids=lambda r: r.__name__)
     def test_runner_defaults_are_the_cli_defaults(self, runner):

@@ -58,6 +58,22 @@ class TestNoiseVarFromSnr:
         with pytest.raises(DimensionError):
             noise_var_from_snr(0.0, 0)
 
+    def test_variances_are_the_closed_forms(self):
+        for snr in (-300.0, -12.5, 0.0, 3.0, 25.0, 49.99, 300.0, 3080.0, math.inf):
+            for n in (1, 4, 20):
+                assert noise_var_from_snr(snr, n).variance == n / 10.0 ** (snr / 10.0)
+            assert noise_var_from_inverse_snr(snr).variance == 10.0 ** (-snr / 10.0)
+
+    @pytest.mark.parametrize("snr", [4000.0, -4000.0, -math.inf, math.nan])
+    def test_out_of_range_snr_is_a_value_error(self, snr):
+        with pytest.raises(ValueError):
+            noise_var_from_snr(snr, 4)
+
+    @pytest.mark.parametrize("snr", [-4000.0, -math.inf, math.nan])
+    def test_out_of_range_inverse_snr_is_a_value_error(self, snr):
+        with pytest.raises(ValueError):
+            noise_var_from_inverse_snr(snr)
+
 
 _ALL_RUNNERS = [
     run_table1, run_gain_sweep, run_min_singular_cdf, run_ber_sweep, run_cond_ratio_sweep
@@ -113,6 +129,21 @@ class TestRunnerChecks:
     def test_ber_rejects_non_finite_floor(self, floor):
         with pytest.raises(ValueError):
             run_ber_sweep(4, [10.0], sigma_min_floor=floor, trials=1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: run_ber_sweep(4, [0.0, math.nan], trials=1),
+            lambda: run_ber_sweep(4, [0.0, 4000.0], trials=1),
+            lambda: run_gain_sweep([2, 4], [0.0, -4000.0], trials=1),
+            lambda: run_gain_sweep([2], [0.0, -math.inf], trials=1),
+            lambda: run_cond_ratio_sweep(4, 15.0, [0.1], snr_db=-4000.0, trials=1),
+        ],
+        ids=["ber-nan", "ber-overflow", "gain-underflow", "gain-minus-inf", "condratio"],
+    )
+    def test_rejects_snr_without_a_noise_variance(self, call):
+        with pytest.raises(ValueError):
+            call()
 
     def test_ber_rejects_zero_attempt_budget(self):
         with pytest.raises(ValueError):
