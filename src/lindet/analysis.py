@@ -115,7 +115,10 @@ def cond_ratio_exact(h, noise: NoiseModel) -> CondRatioReport:
     extreme singular values.
     """
     m = _guarded_channel(h, 0.0)
-    cond_zf, cond_mmse = _filter_conds(m[None], noise.variance)[:, 0].tolist()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond_zf, cond_mmse = _filter_conds(m[None], noise.variance)[:, 0].tolist()
+    if not cond_mmse * linalg.SINGULARITY_RTOL < 1.0:  # the Gram guard bounds cond_zf
+        raise SingularMatrixError("condition number undefined for a singular MMSE filter")
     s = linalg.singular_values(m)
     return CondRatioReport(
         exact_ratio=cond_mmse / cond_zf,

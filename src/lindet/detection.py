@@ -89,8 +89,7 @@ def zf_filter(h) -> FilterMatrix:
     amplification by the inverse singular values.  Numerically singular
     channels raise :class:`~lindet.exceptions.SingularMatrixError`.
     """
-    m = _guarded_channel(h, 0.0)
-    return FilterMatrix(kind="zf", noise_variance=0.0, matrix=_filters(m[None], 0.0)[0][0])
+    return FilterMatrix("zf", 0.0, mmse_filter(h, NoiseModel(0.0)).matrix)
 
 
 def mmse_filter(h, noise: NoiseModel) -> FilterMatrix:

@@ -503,13 +503,12 @@ def run_cond_ratio_sweep(
     """
     _check_run((n,), trials, master_seed, workers)
     cond_target, sigma_min_grid = _check_spectrum(cond_target, sigma_min_grid)
-    variance = noise_var_from_inverse_snr(snr_db).variance
-    noise = NoiseModel(variance)
+    noise = noise_var_from_inverse_snr(snr_db)
     rows = []
     for gi, sigma_min in enumerate(sigma_min_grid):
         spectrum = _spectrum_profile(n, cond_target, sigma_min, interior)
         count, sum_r, sum_r2, sum_cz, sum_cm = _reduce(
-            _cond_ratio_block, master_seed, (_TAG_CONDRATIO, gi), (n, spectrum, variance),
+            _cond_ratio_block, master_seed, (_TAG_CONDRATIO, gi), (n, spectrum, noise.variance),
             trials, workers,
         )
         mean_r, se_r = _mean_se(sum_r, sum_r2, count)

@@ -130,6 +130,12 @@ class TestCondRatioExact:
         with pytest.raises(error):
             analysis.cond_ratio_exact(h, NoiseModel(0.3))
 
+    def test_underflowing_mmse_filter_raises(self):
+        # W_mmse ~ H^H / v underflows to zero: no condition number
+        h = 1e-150 * complex_gaussian((4, 4), RngStream(67).generator())
+        with pytest.raises(SingularMatrixError):
+            analysis.cond_ratio_exact(h, NoiseModel(1e300))
+
 
 class TestSnrZf:
     def test_orthogonal_channel(self):
