@@ -33,11 +33,7 @@ import numpy as np
 from . import linalg
 from .channel import NoiseModel, RngStream, _cn_noise
 from .detection import FilterMatrix, _filters, _guarded_channel, qpsk_modulate
-from .exceptions import DimensionError, FormulaDomainError, SingularMatrixError
-
-#: Relative magnitude below which the MMSE SNR denominator is treated as the
-#: exact zero-noise cancellation and mapped to the infinite marker.
-MMSE_DENOMINATOR_RTOL = 1e-12
+from .exceptions import DimensionError, SingularMatrixError
 
 _MC_BLOCK = 8192
 
@@ -83,9 +79,19 @@ def weyl_lower_bound(i: int, sigma_spectrum, delta_spectrum) -> float:
         )
     if not 1 <= i <= n:
         raise IndexError(f"index must be in 1..{n}, got {i}")
-    # k-th family member pairs sigma[i-1+k] with delta[n-1-k], k = 0..n-i.
-    candidates = sig[i - 1:] + dlt[::-1][: n - i + 1]
-    return float(np.max(candidates))
+    return float(_weyl_bounds(sig, dlt)[i - 1])
+
+
+def _weyl_bounds(sig: np.ndarray, dlt: np.ndarray) -> np.ndarray:
+    """All ``n`` bounds of :func:`weyl_lower_bound` along the last axis; unchecked.
+
+    ``sig`` and ``dlt`` are descending spectra ``(..., n)``.  Bound ``p``
+    (0-indexed) is the maximum of ``sig[j] + dlt[n-1+p-j]`` over ``j >= p``.
+    """
+    n = sig.shape[-1]
+    p, j = np.ogrid[:n, :n]
+    pairs = sig[..., None, :] + dlt[..., np.clip(n - 1 + p - j, 0, n - 1)]
+    return np.max(np.where(j >= p, pairs, -np.inf), axis=-1)
 
 
 def cond_ratio_approx(sigma_1: float, sigma_n: float, noise: NoiseModel) -> float:
@@ -134,47 +140,52 @@ def _filter_conds(h: np.ndarray, variance: float) -> np.ndarray:
     return sv[..., 0] / sv[..., -1]
 
 
-def _zf_snr(s: np.ndarray, variance: float):
+def _zf_snr(s: np.ndarray, variance):
     """ZF SNR ``N / sum_i(v / s_i^2)`` along the last axis, without validation.
 
     ``s`` is one spectrum ``(N,)`` or a stack ``(..., N)`` of them; the
-    result has the leading shape.  Zero singular values or zero noise give
-    IEEE infinities or NaNs.
+    result has the leading shape.  ``variance`` is a scalar or one variance
+    per spectrum.  Zero singular values or zero noise give IEEE infinities
+    or NaNs.
     """
-    return s.shape[-1] / np.sum(variance / (s * s), axis=-1)
+    return s.shape[-1] / np.sum(np.asarray(variance)[..., None] / (s * s), axis=-1)
 
 
-def _spectral_sums(s: np.ndarray, variance: float):
+def _spectral_sums(s: np.ndarray, variance):
     """Sums ``a``, ``b``, ``c`` of :class:`MmseAbc` along the last axis.
 
     ``s`` is one spectrum ``(N,)`` or a stack ``(..., N)``; each sum has
-    the leading shape.  No validation.
+    the leading shape, and ``variance`` is a scalar or of that shape.  No
+    validation.
     """
     s2 = s * s
-    t = s2 / (s2 + variance)
+    v = np.asarray(variance)[..., None]
+    t = s2 / (s2 + v)
     # On a stack ``** 2`` squares by multiplication; on one spectrum the sum
     # is a NumPy scalar and ``** 2`` goes through pow(), which may round the
     # last bit differently.  Both roundings are part of the pinned outputs.
     a = np.sum(t, axis=-1) ** 2
     b = np.sum(t * t, axis=-1)
-    c = np.sum(s2 / (s2 + variance) ** 2, axis=-1)
+    c = np.sum(s2 / (s2 + v) ** 2, axis=-1)
     return a, b, c
 
 
-def _mmse_snr_terms(s: np.ndarray, variance: float):
+def _mmse_snr_terms(s: np.ndarray, variance):
     """Numerator ``a + b`` and denominator ``v (N + 1) c + N b - a`` of the MMSE SNR.
 
     Evaluated along the last axis of one spectrum ``(N,)`` or a stack
-    ``(..., N)``, without validation.  ``N b - a`` equals
+    ``(..., N)``, with a scalar ``variance`` or one per spectrum, without
+    validation.  ``N b - a`` equals
     ``N sum_i (u_i - mean(u))^2`` with ``u_i = v / (s_i^2 + v) = 1 - t_i``;
     that form is a sum of squares of small, accurately computed terms, while
     ``N b - a`` subtracts two nearly equal numbers as ``v`` vanishes.
     """
     n = s.shape[-1]
     a, b, c = _spectral_sums(s, variance)
-    u = variance / (s * s + variance)
+    v = np.asarray(variance)
+    u = v[..., None] / (s * s + v[..., None])
     spread = np.sum((u - np.mean(u, axis=-1, keepdims=True)) ** 2, axis=-1)
-    return a + b, variance * (n + 1) * c + n * spread
+    return a + b, v * (n + 1) * c + n * spread
 
 
 def _mmse_spectrum(spectrum, noise: NoiseModel) -> np.ndarray:
@@ -219,23 +230,13 @@ def snr_mmse(spectrum, noise: NoiseModel) -> float:
 
     Evaluates ``(a + b) / (v (N + 1) c + N b - a)``, with ``N b - a``
     computed as the spread ``N sum_i (u_i - mean(u))^2`` of
-    ``u_i = v / (s_i^2 + v)``, which does not cancel.  The denominator
-    tends to zero in the zero-noise limit (where the MMSE and ZF SNRs both
-    diverge); denominators at or below
-    ``MMSE_DENOMINATOR_RTOL * (a + b)`` map to ``math.inf``.  A negative
-    denominator beyond that tolerance is a domain violation and raises
-    :class:`~lindet.exceptions.FormulaDomainError` rather than being
-    clamped.
+    ``u_i = v / (s_i^2 + v)``, which does not cancel.  The denominator is a
+    sum of nonnegative terms; it is zero only for zero noise, where the
+    MMSE and ZF SNRs both diverge, and that returns ``math.inf``.
     """
     s = _mmse_spectrum(spectrum, noise)
     numerator, denominator = _mmse_snr_terms(s, noise.variance)
-    tol = MMSE_DENOMINATOR_RTOL * numerator
-    if denominator < -tol:
-        raise FormulaDomainError(
-            f"MMSE SNR denominator is negative ({denominator:.6e}); "
-            "inputs are outside the formula's domain"
-        )
-    if denominator <= tol:
+    if denominator == 0.0:
         return math.inf
     return float(numerator / denominator)
 
@@ -248,15 +249,21 @@ def gain_db(snr_mmse_lin: float, snr_zf_lin: float) -> float:
     """
     m = float(snr_mmse_lin)
     z = float(snr_zf_lin)
-    if math.isinf(m) and math.isinf(z):
-        return 0.0
-    if math.isinf(m):
-        return math.inf
-    if math.isinf(z):
-        return -math.inf
-    if not (m > 0.0 and z > 0.0) or math.isnan(m) or math.isnan(z):
+    if not (math.isinf(m) or math.isinf(z) or (m > 0.0 and z > 0.0)):
         raise ValueError(f"SNRs must be positive, got ({snr_mmse_lin!r}, {snr_zf_lin!r})")
-    return 10.0 * math.log10(m / z)
+    return float(_gain_db(m, z))
+
+
+def _gain_db(mmse, zf):
+    """``10 log10(mmse / zf)`` elementwise, with the limits of :func:`gain_db`; unchecked.
+
+    Both SNRs infinite give 0 dB, only ``mmse`` infinite ``+inf`` and only
+    ``zf`` infinite ``-inf``.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gain = 10.0 * np.log10(np.divide(mmse, zf))
+    m_inf, z_inf = np.isinf(mmse), np.isinf(zf)
+    return np.where(m_inf, np.where(z_inf, 0.0, np.inf), np.where(z_inf, -np.inf, gain))
 
 
 def edelman_tail(x: float) -> float:

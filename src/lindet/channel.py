@@ -1,4 +1,4 @@
-"""Random channel ensembles and the ``r = Hx + n`` transmission model.
+"""Random channel ensembles and the noise of the ``r = Hx + n`` model.
 
 Entries of the basic ensemble are zero-mean unit-variance circularly
 symmetric complex Gaussians (real and imaginary parts each with variance
@@ -318,32 +318,9 @@ def synthesize_spectrum(
     )
 
 
-def sample_noise(n: int, noise: NoiseModel, rng: RngStream) -> np.ndarray:
-    """Length-n noise vector with i.i.d. CN(0, variance) entries."""
-    if n < 1:
-        raise DimensionError(f"dimension must be >= 1, got {n}")
-    return _cn_noise(n, noise.variance, rng.generator())
-
-
 def _cn_noise(shape, variance: float, generator: np.random.Generator) -> np.ndarray:
     """i.i.d. CN(0, variance) array; leading axes of ``shape`` are batch axes."""
     scale = math.sqrt(variance * 0.5)
     re = generator.standard_normal(shape)
     im = generator.standard_normal(shape)
     return scale * (re + 1j * im)
-
-
-def transmit(h, x, noise_sample) -> np.ndarray:
-    """Received vector ``H x + n`` with strict dimension checking."""
-    m = linalg.as_complex_matrix(h, name="channel")
-    xv = linalg.as_complex_vector(x, name="transmit vector")
-    nv = linalg.as_complex_vector(noise_sample, name="noise vector")
-    if m.shape[1] != xv.shape[0]:
-        raise DimensionError(
-            f"channel has {m.shape[1]} columns but transmit vector has length {xv.shape[0]}"
-        )
-    if m.shape[0] != nv.shape[0]:
-        raise DimensionError(
-            f"channel has {m.shape[0]} rows but noise vector has length {nv.shape[0]}"
-        )
-    return m @ xv + nv

@@ -1,4 +1,4 @@
-"""QPSK modulation, linear ZF/MMSE filtering, and bit-error accounting.
+"""QPSK modulation and linear ZF/MMSE filtering.
 
 The receiver chain is filter-then-decide: the received vector is multiplied
 by a filtering matrix and each output entry is hard-sliced to the nearest
@@ -110,28 +110,15 @@ def _guarded_channel(h, variance: float) -> np.ndarray:
     return m
 
 
-def _filters(h: np.ndarray, *variances: float) -> list[np.ndarray]:
-    """Filters ``(H^H H + v I)^{-1} H^H`` of a stack, one solve per ``v`` (0 is ZF); unchecked."""
+def _filters(h: np.ndarray, *variances) -> list[np.ndarray]:
+    """Filters ``(H^H H + v I)^{-1} H^H`` of a stack, one solve per ``v`` (0 is ZF); unchecked.
+
+    Each ``v`` is a scalar or one variance per matrix of the stack.
+    """
     hh = h.conj().swapaxes(-1, -2)
     gram = hh @ h
-    return [np.linalg.solve(gram + v * np.eye(h.shape[-1]) if v else gram, hh) for v in variances]
-
-
-def equalize_and_slice(w: FilterMatrix, r) -> np.ndarray:
-    """Apply a receive filter and hard-slice the result to bits."""
-    rv = linalg.as_complex_vector(r, name="received vector")
-    if w.matrix.shape[1] != rv.shape[0]:
-        raise DimensionError(
-            f"filter expects length {w.matrix.shape[1]}, received vector has "
-            f"length {rv.shape[0]}"
-        )
-    return qpsk_slice(w.matrix @ rv)
-
-
-def count_bit_errors(sent, received) -> int:
-    """Hamming distance between two bit blocks of equal shape."""
-    a = as_bit_block(sent, name="sent bits")
-    b = as_bit_block(received, name="received bits")
-    if a.shape != b.shape:
-        raise DimensionError(f"bit blocks differ in shape: {a.shape} vs {b.shape}")
-    return int(np.count_nonzero(a != b))
+    eye = np.eye(h.shape[-1])
+    return [
+        np.linalg.solve(gram + np.asarray(v)[..., None, None] * eye if np.any(v) else gram, hh)
+        for v in variances
+    ]

@@ -32,7 +32,3 @@ class SamplingExhaustedError(LindetError, RuntimeError):
     def __init__(self, message, attempts=None):
         super().__init__(message)
         self.attempts = attempts
-
-
-class FormulaDomainError(LindetError, ArithmeticError):
-    """A closed-form expression was evaluated outside its valid domain."""

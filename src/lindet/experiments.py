@@ -28,7 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .analysis import _filter_conds, _mmse_snr_terms, _zf_snr, cond_ratio_approx, edelman_tail
+from .analysis import (
+    _filter_conds,
+    _gain_db,
+    _mmse_snr_terms,
+    _zf_snr,
+    cond_ratio_approx,
+    edelman_tail,
+)
 from .channel import (
     DEFAULT_MAX_ATTEMPTS,
     NoiseModel,
@@ -269,7 +276,7 @@ def _gain_block(g, n, variance, count):
     s = _normalized_draw(g, count, n)[1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         numerator, denominator = _mmse_snr_terms(s, variance)
-        gain = 10.0 * np.log10(numerator / denominator / _zf_snr(s, variance))
+        gain = _gain_db(numerator / denominator, _zf_snr(s, variance))
     kept = gain[np.isfinite(gain)]
     return (kept.size, float(np.sum(kept)), float(np.sum(kept * kept)), count - kept.size)
 

@@ -6,6 +6,11 @@ are not reproducible as single exact numbers: Weyl-bound validity, the
 Gram/inverse spectral identities, zero-noise filter coincidence, SNR
 ordering and limits, conditioning bounds, the Monte Carlo distortion
 oracle against the closed forms, and CDF dominance across dimensions.
+
+The checks run on stacks, through the kernels the experiment runners use:
+a check draws the dimension of every sample first, then one stack per
+dimension.  The distortion oracle and the CDF dominance check go through
+the public API.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, detection, linalg
-from .channel import NoiseModel, RngStream, complex_gaussian, normalize
+from . import analysis, detection
+from .channel import NoiseModel, RngStream, _normalized_draw, complex_gaussian, normalize
 from .experiments import run_min_singular_cdf
 
 
@@ -31,6 +36,24 @@ def _result(name: str, passed: bool, detail: str) -> PropertyResult:
     return PropertyResult(name=name, passed=bool(passed), detail=detail)
 
 
+def _stacks(sizes):
+    """``(n, k)`` per distinct sample dimension ``n`` of ``sizes``, ascending: ``k`` samples."""
+    n_values, counts = np.unique(sizes, return_counts=True)
+    return zip(n_values.tolist(), counts.tolist())
+
+
+def _gram(h: np.ndarray) -> np.ndarray:
+    return h.conj().swapaxes(-1, -2) @ h
+
+
+def _spectra(a: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(a, compute_uv=False)
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(a, axis=(-2, -1))
+
+
 def check_weyl_validity(master_seed: int = 101, pairs: int = 1000) -> PropertyResult:
     """Every eigenvalue of a PSD sum dominates its Weyl lower bound.
 
@@ -41,19 +64,12 @@ def check_weyl_validity(master_seed: int = 101, pairs: int = 1000) -> PropertyRe
     g = RngStream(master_seed).generator()
     worst = math.inf
     violations = 0
-    for _ in range(pairs):
-        n = int(g.integers(2, 9))
-        sigma = linalg.gram(complex_gaussian((n, n), g))
-        delta = linalg.gram(complex_gaussian((n, n), g))
-        spec_sigma = linalg.singular_values(sigma)
-        spec_delta = linalg.singular_values(delta)
-        spec_sum = linalg.singular_values(sigma + delta)
-        for i in range(1, n + 1):
-            bound = analysis.weyl_lower_bound(i, spec_sigma, spec_delta)
-            margin = float(spec_sum[i - 1]) - bound
-            worst = min(worst, margin)
-            if margin < -1e-9:
-                violations += 1
+    for n, k in _stacks(g.integers(2, 9, size=pairs)):
+        sigma = _gram(complex_gaussian((k, n, n), g))
+        delta = _gram(complex_gaussian((k, n, n), g))
+        margin = _spectra(sigma + delta) - analysis._weyl_bounds(_spectra(sigma), _spectra(delta))
+        worst = min(worst, float(np.min(margin)))
+        violations += int(np.count_nonzero(margin < -1e-9))
     return _result(
         "weyl_validity",
         violations == 0,
@@ -65,12 +81,10 @@ def check_gram_spectrum_identity(master_seed: int = 102, matrices: int = 200) ->
     """Singular values of the Gram matrix equal squared singular values."""
     g = RngStream(master_seed).generator()
     worst = 0.0
-    for _ in range(matrices):
-        n = int(g.integers(2, 9))
-        h = complex_gaussian((n, n), g)
-        s = linalg.singular_values(h)
-        s_gram = linalg.singular_values(linalg.gram(h))
-        worst = max(worst, float(np.max(np.abs(s_gram - s * s) / (s * s))))
+    for n, k in _stacks(g.integers(2, 9, size=matrices)):
+        h = complex_gaussian((k, n, n), g)
+        s2 = _spectra(h) ** 2
+        worst = max(worst, float(np.max(np.abs(_spectra(_gram(h)) - s2) / s2)))
     return _result(
         "gram_spectrum_identity",
         worst <= 1e-9,
@@ -79,15 +93,14 @@ def check_gram_spectrum_identity(master_seed: int = 102, matrices: int = 200) ->
 
 
 def check_inverse_condition_identity(master_seed: int = 103, matrices: int = 200) -> PropertyResult:
-    """cond(A) equals cond(inverse(A)) for sampled nonsingular matrices."""
+    """cond(H) equals cond(W_zf) = cond(H^-1) for sampled square channels."""
     g = RngStream(master_seed).generator()
     worst = 0.0
-    for _ in range(matrices):
-        n = int(g.integers(2, 9))
-        h = complex_gaussian((n, n), g)
-        c = linalg.condition_number(h)
-        c_inv = linalg.condition_number(linalg.inverse(h))
-        worst = max(worst, abs(c - c_inv) / c)
+    for n, k in _stacks(g.integers(2, 9, size=matrices)):
+        h = complex_gaussian((k, n, n), g)
+        s = _spectra(h)
+        c = s[:, 0] / s[:, -1]
+        worst = max(worst, float(np.max(np.abs(c - analysis._filter_conds(h, 0.0)[0]) / c)))
     return _result(
         "inverse_condition_identity",
         worst <= 1e-8,
@@ -101,17 +114,15 @@ def check_svd_contracts(master_seed: int = 104, matrices: int = 200) -> Property
     dims = (2, 4, 8)
     ok = True
     worst = 0.0
-    for k in range(matrices):
-        n = dims[k % len(dims)]
-        h = complex_gaussian((n, n), g)
-        res = linalg.svd(h)
+    for n, k in _stacks(np.resize(dims, matrices)):
+        h = complex_gaussian((k, n, n), g)
+        u, s, vh = np.linalg.svd(h)
         eye = np.eye(n)
-        uni_u = np.linalg.norm(res.u.conj().T @ res.u - eye)
-        uni_v = np.linalg.norm(res.vh @ res.vh.conj().T - eye)
-        recon = np.linalg.norm(res.u @ np.diag(res.spectrum) @ res.vh - h)
-        rel = recon / np.linalg.norm(h)
-        worst = max(worst, uni_u / n, uni_v / n, rel)
-        ok = ok and uni_u <= 1e-10 * n and uni_v <= 1e-10 * n and rel <= 1e-10
+        uni_u = _frobenius(u.conj().swapaxes(-1, -2) @ u - eye)
+        uni_v = _frobenius(vh @ vh.conj().swapaxes(-1, -2) - eye)
+        rel = _frobenius((u * s[:, None, :]) @ vh - h) / _frobenius(h)
+        worst = max(worst, float(np.max(np.stack([uni_u / n, uni_v / n, rel]))))
+        ok = ok and bool(np.all((uni_u <= 1e-10 * n) & (uni_v <= 1e-10 * n) & (rel <= 1e-10)))
     return _result(
         "svd_contracts",
         ok,
@@ -120,15 +131,14 @@ def check_svd_contracts(master_seed: int = 104, matrices: int = 200) -> Property
 
 
 def check_mmse_zero_noise_reduces_to_zf(master_seed: int = 105, matrices: int = 50) -> PropertyResult:
-    """mmse_filter with zero variance coincides with zf_filter."""
+    """The filter kernel at zero noise variance is the ZF filter, the channel's inverse."""
     g = RngStream(master_seed).generator()
     worst = 0.0
-    for _ in range(matrices):
-        n = int(g.integers(2, 7))
-        h = complex_gaussian((n, n), g)
-        w_zf = detection.zf_filter(h).matrix
-        w_mmse = detection.mmse_filter(h, NoiseModel(0.0)).matrix
-        worst = max(worst, float(np.linalg.norm(w_mmse - w_zf) / np.linalg.norm(w_zf)))
+    for n, k in _stacks(g.integers(2, 7, size=matrices)):
+        h = complex_gaussian((k, n, n), g)
+        inv = np.linalg.inv(h)
+        gap = _frobenius(detection._filters(h, 0.0)[0] - inv) / _frobenius(inv)
+        worst = max(worst, float(np.max(gap)))
     return _result(
         "mmse_zero_noise_equals_zf",
         worst <= 1e-9,
@@ -140,13 +150,12 @@ def check_snr_ordering(master_seed: int = 106, samples: int = 500) -> PropertyRe
     """snr_mmse >= snr_zf for positive noise, within 1e-9 relative."""
     g = RngStream(master_seed).generator()
     worst = 0.0
-    for _ in range(samples):
-        n = int(g.integers(2, 9))
-        spectrum = np.sort(g.uniform(0.05, 3.0, size=n))[::-1]
-        variance = float(g.uniform(1e-4, 10.0))
-        z = analysis.snr_zf(spectrum, NoiseModel(variance))
-        m = analysis.snr_mmse(spectrum, NoiseModel(variance))
-        worst = max(worst, (z - m) / z)
+    for n, k in _stacks(g.integers(2, 9, size=samples)):
+        s = np.sort(g.uniform(0.05, 3.0, size=(k, n)))[..., ::-1]
+        variance = g.uniform(1e-4, 10.0, size=k)
+        z = analysis._zf_snr(s, variance)
+        numerator, denominator = analysis._mmse_snr_terms(s, variance)
+        worst = max(worst, float(np.max((z - numerator / denominator) / z)))
     return _result(
         "snr_mmse_dominates_snr_zf",
         worst <= 1e-9,
@@ -159,13 +168,12 @@ def check_snr_zero_noise_limit(master_seed: int = 107, samples: int = 100) -> Pr
     g = RngStream(master_seed).generator()
     ok = True
     worst = 0.0
-    for _ in range(samples):
-        n = int(g.integers(2, 9))
-        spectrum = np.sort(g.uniform(0.1, 3.0, size=n))[::-1]
-        noise = NoiseModel(1e-6)
-        ratio = analysis.snr_mmse(spectrum, noise) / analysis.snr_zf(spectrum, noise)
-        ok = ok and 1.0 - 1e-12 <= ratio <= 1.0 + 1e-4
-        worst = max(worst, abs(ratio - 1.0))
+    for n, k in _stacks(g.integers(2, 9, size=samples)):
+        s = np.sort(g.uniform(0.1, 3.0, size=(k, n)))[..., ::-1]
+        numerator, denominator = analysis._mmse_snr_terms(s, 1e-6)
+        ratio = numerator / denominator / analysis._zf_snr(s, 1e-6)
+        ok = ok and bool(np.all((1.0 - 1e-12 <= ratio) & (ratio <= 1.0 + 1e-4)))
+        worst = max(worst, float(np.max(np.abs(ratio - 1.0))))
     return _result(
         "snr_ratio_unity_limit",
         ok,
@@ -178,13 +186,16 @@ def check_cond_ratio_bounds(master_seed: int = 108, matrices: int = 200) -> Prop
     g = RngStream(master_seed).generator()
     worst_exact = 0.0
     worst_approx = 0.0
-    for _ in range(matrices):
-        n = int(g.integers(2, 7))
-        h = normalize(complex_gaussian((n, n), g)).matrix
-        variance = float(g.uniform(1e-3, 5.0))
-        report = analysis.cond_ratio_exact(h, NoiseModel(variance))
-        worst_exact = max(worst_exact, report.exact_ratio - 1.0)
-        worst_approx = max(worst_approx, report.approx_ratio - 1.0)
+    for n, k in _stacks(g.integers(2, 7, size=matrices)):
+        h, s = _normalized_draw(g, k, n)
+        variance = g.uniform(1e-3, 5.0, size=k)
+        cond_zf, cond_mmse = analysis._filter_conds(h, variance)
+        approx = [
+            analysis.cond_ratio_approx(s1, sn, NoiseModel(v))
+            for s1, sn, v in zip(s[:, 0], s[:, -1], variance)
+        ]
+        worst_exact = max(worst_exact, float(np.max(cond_mmse / cond_zf)) - 1.0)
+        worst_approx = max(worst_approx, max(approx) - 1.0)
     return _result(
         "cond_ratio_bounded_by_one",
         worst_exact <= 1e-9 and worst_approx <= 0.0,
@@ -197,13 +208,11 @@ def check_identity_shift_tightness(master_seed: int = 109, matrices: int = 100) 
     """Adding variance * I shifts every Gram singular value by exactly that."""
     g = RngStream(master_seed).generator()
     worst = 0.0
-    for _ in range(matrices):
-        n = int(g.integers(2, 9))
-        sigma = linalg.gram(complex_gaussian((n, n), g))
-        variance = float(g.uniform(1e-3, 5.0))
-        shifted = linalg.singular_values(sigma + variance * np.eye(n))
-        expected = linalg.singular_values(sigma) + variance
-        worst = max(worst, float(np.max(np.abs(shifted - expected))))
+    for n, k in _stacks(g.integers(2, 9, size=matrices)):
+        sigma = _gram(complex_gaussian((k, n, n), g))
+        variance = g.uniform(1e-3, 5.0, size=k)
+        shifted = _spectra(sigma + variance[:, None, None] * np.eye(n))
+        worst = max(worst, float(np.max(np.abs(shifted - (_spectra(sigma) + variance[:, None])))))
     return _result(
         "identity_shift_tightness",
         worst <= 1e-9,
@@ -215,12 +224,10 @@ def check_mmse_abc_inequality(master_seed: int = 110, samples: int = 500) -> Pro
     """Cauchy-Schwarz: a >= b for random spectra and noise variances."""
     g = RngStream(master_seed).generator()
     worst = 0.0
-    for _ in range(samples):
-        n = int(g.integers(1, 10))
-        spectrum = np.sort(g.uniform(0.01, 5.0, size=n))[::-1]
-        variance = float(g.uniform(0.0, 10.0))
-        abc = analysis.mmse_abc(spectrum, NoiseModel(variance))
-        worst = max(worst, abc.b - abc.a)
+    for n, k in _stacks(g.integers(1, 10, size=samples)):
+        s = np.sort(g.uniform(0.01, 5.0, size=(k, n)))[..., ::-1]
+        a, b, _ = analysis._spectral_sums(s, g.uniform(0.0, 10.0, size=k))
+        worst = max(worst, float(np.max(b - a)))
     return _result(
         "mmse_abc_cauchy_schwarz",
         worst <= 1e-12,
@@ -232,11 +239,9 @@ def check_eq_power_normalization(master_seed: int = 111, matrices: int = 200) ->
     """Normalized realizations satisfy sum(sigma_i^2) == N^2 to 1e-8 relative."""
     g = RngStream(master_seed).generator()
     worst = 0.0
-    for _ in range(matrices):
-        n = int(g.integers(2, 9))
-        real = normalize(complex_gaussian((n, n), g))
-        total = float(np.sum(real.spectrum**2))
-        worst = max(worst, abs(total - n * n) / (n * n))
+    for n, k in _stacks(g.integers(2, 9, size=matrices)):
+        total = np.sum(_normalized_draw(g, k, n)[1] ** 2, axis=-1)
+        worst = max(worst, float(np.max(np.abs(total - n * n))) / (n * n))
     return _result(
         "power_normalization",
         worst <= 1e-8,
@@ -261,7 +266,7 @@ def check_distortion_oracle(master_seed: int = 112, replicates: int = 16, trials
     details = []
     ok = True
     for name, h in channels:
-        spectrum = linalg.singular_values(h)
+        spectrum = _spectra(h)
         target = analysis.snr_zf(spectrum, noise)
         w = detection.zf_filter(h)
         reps = [

@@ -12,6 +12,7 @@ from lindet.channel import (
     synthesize_spectrum,
 )
 from lindet.exceptions import DimensionError, SingularMatrixError
+from lindet.experiments import noise_var_from_snr
 
 # Hand-evaluated constants for the worked example: sigma^2 = (3, 1), v = 0.1.
 WORKED_SPECTRUM = np.array([math.sqrt(3.0), 1.0])
@@ -47,6 +48,20 @@ class TestWeylLowerBound:
             for i in range(1, n + 1):
                 bound = analysis.weyl_lower_bound(i, s_sigma, s_delta)
                 assert s_sum[i - 1] >= bound - 1e-9
+
+    def test_stacked_kernel_equals_the_per_index_bound(self):
+        g = RngStream(59).generator()
+        for n in (1, 2, 3, 5, 8):
+            sig = np.sort(g.uniform(0.0, 4.0, size=(40, n)))[:, ::-1]
+            dlt = np.sort(g.uniform(0.0, 4.0, size=(40, n)))[:, ::-1]
+            bounds = analysis._weyl_bounds(sig, dlt)
+            assert bounds.shape == (40, n)
+            for k in range(40):
+                for i in range(1, n + 1):
+                    # the k-th family member pairs sig[i-1+k] with dlt[n-1-k]
+                    family = sig[k, i - 1:] + dlt[k, ::-1][: n - i + 1]
+                    assert bounds[k, i - 1] == np.max(family)
+                    assert bounds[k, i - 1] == analysis.weyl_lower_bound(i, sig[k], dlt[k])
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -205,7 +220,29 @@ class TestSnrMmse:
         assert ratios[-1] <= 1.0 + 1e-4
 
 
+    @pytest.mark.parametrize("snr_db", [130.0, 150.0])
+    def test_finite_at_high_finite_snr(self, snr_db):
+        # the denominator is small but positive; only zero noise gives inf
+        noise = noise_var_from_snr(snr_db, 2)
+        m = analysis.snr_mmse([1.5, 0.5], noise)
+        assert math.isfinite(m)
+        assert m / analysis.snr_zf([1.5, 0.5], noise) == pytest.approx(1.0, abs=1e-9)
+
+
 class TestBatchedSnrKernels:
+    def test_per_spectrum_variances_match_one_spectrum_calls(self):
+        g = RngStream(68).generator()
+        spectra = np.sort(g.uniform(0.05, 3.0, size=(9, 4)))[:, ::-1]
+        variances = g.uniform(1e-4, 10.0, size=9)
+        zf = analysis._zf_snr(spectra, variances)
+        terms = analysis._mmse_snr_terms(spectra, variances)
+        sums = analysis._spectral_sums(spectra, variances)
+        for k, v in enumerate(variances):
+            one = spectra[k : k + 1]
+            assert zf[k] == analysis._zf_snr(one, v)[0] == analysis.snr_zf(spectra[k], NoiseModel(v))
+            assert [x[k] for x in terms] == [x[0] for x in analysis._mmse_snr_terms(one, v)]
+            assert [x[k] for x in sums] == [x[0] for x in analysis._spectral_sums(one, v)]
+
     def test_stack_matches_scalar_api(self):
         g = RngStream(67).generator()
         spectra = -np.sort(-g.uniform(0.05, 3.0, size=(7, 5)), axis=1)
@@ -245,6 +282,16 @@ class TestGainDb:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             analysis.gain_db(0.0, 1.0)
+
+    def test_stacked_kernel_carries_the_limits(self):
+        m = np.array([math.inf, math.inf, 5.0, 10.0])
+        z = np.array([math.inf, 5.0, math.inf, 1.0])
+        assert analysis._gain_db(m, z).tolist() == [0.0, math.inf, -math.inf, 10.0]
+
+    def test_public_gain_is_the_stacked_kernel(self):
+        g = RngStream(69).generator()
+        m, z = g.uniform(0.1, 100.0, size=(2, 50))
+        assert [analysis.gain_db(a, b) for a, b in zip(m, z)] == analysis._gain_db(m, z).tolist()
 
 
 class TestEdelmanTail:

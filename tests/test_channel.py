@@ -105,7 +105,7 @@ class TestNormalize:
     def test_power_constraint_via_independent_spectrum(self):
         h = channel.sample_standard_gaussian(4, RngStream(6))
         real = channel.normalize(h)
-        recomputed = linalg.svd(real.matrix).spectrum
+        recomputed = np.linalg.svd(real.matrix, compute_uv=False)
         assert float(np.sum(recomputed**2)) == pytest.approx(16.0, rel=1e-8)
         np.testing.assert_allclose(real.spectrum, recomputed, rtol=1e-10, atol=1e-12)
 
@@ -256,20 +256,21 @@ class TestSynthesizeSpectrum:
     def test_cond_one_gives_equal_spectrum(self):
         real = channel.synthesize_spectrum(4, 1.0, 0.5, RngStream(12))
         np.testing.assert_allclose(real.spectrum, 0.5)
-        assert linalg.condition_number(real.matrix) == pytest.approx(1.0, rel=1e-9)
+        s = np.linalg.svd(real.matrix, compute_uv=False)
+        assert s[0] / s[-1] == pytest.approx(1.0, rel=1e-9)
 
     def test_prescribed_cond_and_floor(self):
         real = channel.synthesize_spectrum(4, 15.0, 0.1, RngStream(13))
         assert real.spectrum[0] == pytest.approx(1.5, rel=1e-12)
         assert real.spectrum[-1] == pytest.approx(0.1, rel=1e-12)
-        assert linalg.condition_number(real.matrix) == pytest.approx(15.0, rel=1e-9)
-        s = linalg.svd(real.matrix).spectrum
+        s = np.linalg.svd(real.matrix, compute_uv=False)
+        assert s[0] / s[-1] == pytest.approx(15.0, rel=1e-9)
         assert s[-1] == pytest.approx(0.1, rel=1e-9)
 
     def test_spectrum_matches_svd(self):
         real = channel.synthesize_spectrum(5, 7.0, 0.2, RngStream(14), interior="geometric")
         np.testing.assert_allclose(
-            linalg.svd(real.matrix).spectrum, real.spectrum, rtol=1e-10
+            np.linalg.svd(real.matrix, compute_uv=False), real.spectrum, rtol=1e-10
         )
 
     def test_haar_factors_unitary(self):
@@ -295,46 +296,18 @@ class TestSynthesizeSpectrum:
 
 
 class TestSampleNoise:
+    """``channel._cn_noise``, the CN(0, v) draw of the BER runner and the oracle."""
+
     def test_zero_variance_gives_zero_vector(self):
-        n = channel.sample_noise(16, NoiseModel(0.0), RngStream(18))
+        n = channel._cn_noise(16, 0.0, RngStream(18).generator())
         assert np.all(n == 0)
 
     def test_moment(self):
         # 10^6 draws at variance 0.5: mean |n|^2 within half a percent
-        n = channel.sample_noise(10**6, NoiseModel(0.5), RngStream(19))
+        n = channel._cn_noise(10**6, 0.5, RngStream(19).generator())
         assert 0.4975 <= float(np.mean(np.abs(n) ** 2)) <= 0.5025
 
     def test_deterministic(self):
-        a = channel.sample_noise(32, NoiseModel(1.0), RngStream(20, (4,)))
-        b = channel.sample_noise(32, NoiseModel(1.0), RngStream(20, (4,)))
+        a = channel._cn_noise((8, 4), 1.0, RngStream(20, (4,)).generator())
+        b = channel._cn_noise((8, 4), 1.0, RngStream(20, (4,)).generator())
         assert np.array_equal(a, b)
-
-
-class TestTransmit:
-    def test_identity_channel_no_noise(self):
-        x = np.array([1 + 1j, -1 - 1j])
-        r = channel.transmit(np.eye(2), x, np.zeros(2))
-        np.testing.assert_array_equal(r, x)
-
-    def test_diagonal(self):
-        r = channel.transmit(np.diag([2.0, 1.0]), [1.0, 1.0], [0.0, 0.0])
-        np.testing.assert_allclose(r, [2.0, 1.0])
-
-    def test_matches_triple_loop_oracle(self):
-        g = RngStream(21).generator()
-        h = channel.complex_gaussian((4, 4), g)
-        x = channel.complex_gaussian((4,), g)
-        nz = channel.complex_gaussian((4,), g)
-        expected = np.zeros(4, dtype=complex)
-        for i in range(4):
-            acc = 0.0 + 0.0j
-            for j in range(4):
-                acc += h[i, j] * x[j]
-            expected[i] = acc + nz[i]
-        np.testing.assert_allclose(channel.transmit(h, x, nz), expected, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            channel.transmit(np.eye(2), [1.0, 2.0, 3.0], [0.0, 0.0])
-        with pytest.raises(DimensionError):
-            channel.transmit(np.eye(2), [1.0, 2.0], [0.0, 0.0, 0.0])

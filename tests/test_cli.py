@@ -256,6 +256,12 @@ class TestGainCommand:
         assert lines[0].startswith("n,snr_db,mean_gain_db")
         assert len(lines) == 2 + 2
 
+    def test_infinite_snr_is_the_zero_noise_limit(self, tmp_path, monkeypatch):
+        # both SNRs diverge at zero noise; gain_db defines that limit as 0 dB
+        monkeypatch.chdir(tmp_path)
+        assert run(["gain", "--dims", "2", "--snr", "inf", "--trials", "10", "--out", "g.csv"]) == 0
+        assert (tmp_path / "g.csv").read_text().splitlines()[2] == "2,inf,0,0,0"
+
     def test_large_array_low_snr_gain_end_to_end(self, tmp_path, monkeypatch):
         # the headline number: ~15 dB mean gain for a 20-antenna array at
         # 0 dB receive SNR (checked loosely here; tightly in acceptance)

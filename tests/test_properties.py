@@ -38,6 +38,49 @@ def test_power_normalization_reduced():
     assert result.passed, result.detail
 
 
+def test_svd_contracts_reduced():
+    result = properties.check_svd_contracts(matrices=30)
+    assert result.passed, result.detail
+
+
+def test_mmse_zero_noise_equals_zf_reduced():
+    result = properties.check_mmse_zero_noise_reduces_to_zf(matrices=20)
+    assert result.passed, result.detail
+
+
+def test_snr_zero_noise_limit_reduced():
+    result = properties.check_snr_zero_noise_limit(samples=30)
+    assert result.passed, result.detail
+
+
+def test_mmse_abc_cauchy_schwarz_reduced():
+    result = properties.check_mmse_abc_inequality(samples=120)
+    assert result.passed, result.detail
+
+
+def test_suite_runs_the_thirteen_checks_in_order():
+    names = [r.name for r in properties.run_property_suite(0)]
+    assert names == [
+        "weyl_validity",
+        "gram_spectrum_identity",
+        "inverse_condition_identity",
+        "svd_contracts",
+        "mmse_zero_noise_equals_zf",
+        "snr_mmse_dominates_snr_zf",
+        "snr_ratio_unity_limit",
+        "cond_ratio_bounded_by_one",
+        "identity_shift_tightness",
+        "mmse_abc_cauchy_schwarz",
+        "power_normalization",
+        "distortion_oracle",
+        "cdf_dominance",
+    ]
+
+
+def test_no_check_uses_the_validated_linalg_layer():
+    assert "linalg" not in vars(properties)
+
+
 def test_result_structure():
     result = properties.check_mmse_zero_noise_reduces_to_zf(matrices=10)
     assert result.name == "mmse_zero_noise_equals_zf"
