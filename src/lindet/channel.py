@@ -8,7 +8,11 @@ falls below a floor, or synthesize a channel with a prescribed spectrum
 from independent Haar-random unitary factors.  Each has one kernel on
 stacks ``(count, n, n)``, with one check of its inputs: the public
 functions use stacks of one and the runners of :mod:`lindet.experiments`
-whole blocks, so both give the same bits from the same draws.
+whole blocks, so both give the same bits from the same draws.  Runners
+that need only the singular values of Gaussian channels draw them from
+the bidiagonal model of the same ensemble (:func:`_gaussian_spectra`),
+which has the same law as decomposing a dense draw at a fraction of the
+work and memory; it does not give the same bits.
 
 All sampling routines are pure functions of an :class:`RngStream` value, so
 identical streams reproduce identical draws regardless of process or worker
@@ -192,6 +196,32 @@ def _normalized_draw(g: np.random.Generator, count: int, n: int):
     """Normalized CN(0, 1) stack ``(count, n, n)`` and its descending spectra."""
     h = _normalized(complex_gaussian((count, n, n), g))
     return h, np.linalg.svd(h, compute_uv=False)
+
+
+def _gaussian_spectra(
+    g: np.random.Generator, count: int, n: int, beta: int, normalized: bool = True
+) -> np.ndarray:
+    """Descending singular values ``(count, n)`` of ``n x n`` Gaussian matrices.
+
+    ``beta = 1`` is the real ensemble with N(0, 1) entries and ``beta = 2``
+    the complex one with CN(0, 1) entries; ``normalized`` rescales each
+    realization to squared Frobenius norm N^2.  Such a matrix has the
+    singular values of an upper bidiagonal matrix B with independent
+    entries, diagonal ``chi_{beta (n - i)} / sqrt(beta)`` and superdiagonal
+    ``chi_{beta (n - 1 - i)} / sqrt(beta)`` (Dumitriu & Edelman 2002), and
+    the same Frobenius norm, so B is drawn, rescaled and decomposed
+    instead: all diagonals first, then all superdiagonals.  LAPACK returns
+    a bidiagonal's singular values to high relative accuracy (Demmel &
+    Kahan 1990), the smallest included.
+    """
+    i = np.arange(n)
+    j = i[:-1]
+    b = np.zeros((count, n, n))
+    b[:, i, i] = np.sqrt(g.chisquare(beta * (n - i), size=(count, n)) / beta)
+    b[:, j, j + 1] = np.sqrt(g.chisquare(beta * (n - 1 - j), size=(count, n - 1)) / beta)
+    if normalized:
+        b = _normalized(b)
+    return np.linalg.svd(b, compute_uv=False)
 
 
 def _floored_stack(g: np.random.Generator, count: int, n: int, floor: float, max_attempts: int):

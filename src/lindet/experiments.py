@@ -1,13 +1,22 @@
 """Seeded, parallelizable Monte Carlo experiment drivers.
 
 Each runner produces a :class:`ResultTable` of tagged rows with means and
-standard errors.  Trials are partitioned into fixed-size blocks; every
-block derives its own random substream from ``(master_seed, experiment
-tag, grid-point index, block index)`` and blocks are reduced in a fixed
-order with exact summation, so results are bit-identical regardless of the
-worker count and of how blocks are scheduled.  This module holds only
-that scheduling and reduction; the maths comes from :mod:`lindet.channel`,
-:mod:`lindet.detection` and :mod:`lindet.analysis`, called on stacks.
+standard errors.  Trials are partitioned into blocks whose size depends
+only on the matrix dimension N: ``min(8192, BLOCK_ELEMENTS // N**2)``
+matrices, and at least one, so no block holds much more than
+``BLOCK_ELEMENTS`` matrix elements.  Every block derives its own random
+substream from ``(master_seed, experiment tag, grid-point index, block
+index)`` and blocks are reduced in a fixed order with exact summation, so
+results are bit-identical regardless of the worker count and of how blocks
+are scheduled.  This module holds only that scheduling and reduction; the
+maths comes from :mod:`lindet.channel`, :mod:`lindet.detection` and
+:mod:`lindet.analysis`, called on stacks.
+
+Stream layout 2 (``STREAM_LAYOUT``, recorded in every table): the
+table1, gain and cdf runners read only singular values, so their blocks
+draw spectra from the bidiagonal Gaussian model
+(:func:`lindet.channel._gaussian_spectra`); the BER and condition-ratio
+runners draw channel matrices.
 
 Two receive-SNR conventions coexist and are recorded per table:
 
@@ -44,8 +53,8 @@ from .channel import (
     _check_spectrum,
     _cn_noise,
     _floored_stack,
+    _gaussian_spectra,
     _normalized,
-    _normalized_draw,
     _spectrum_profile,
     _synthesized_stack,
     complex_gaussian,
@@ -54,6 +63,14 @@ from .detection import _filters, qpsk_modulate, qpsk_slice
 from .exceptions import DimensionError
 
 _BLOCK = 8192
+
+#: Most matrix elements a block may hold: blocks of ``N x N`` draws have
+#: ``min(8192, BLOCK_ELEMENTS // N**2)`` matrices, and at least one.
+BLOCK_ELEMENTS = 2**22
+
+#: Version of the map from a stream address to the draws it feeds; it
+#: changes whenever a runner's output bytes change on purpose.
+STREAM_LAYOUT = 2
 
 # Stable experiment tags used as stream-key components.
 _TAG_TABLE1 = 1
@@ -128,7 +145,12 @@ def _noise_model(variance, snr_db) -> NoiseModel:
 # ---------------------------------------------------------------------------
 
 
-def _block_sizes(trials: int, block: int = _BLOCK) -> list[int]:
+def _block_matrices(n: int) -> int:
+    """Matrices per block for ``n x n`` draws under the element budget."""
+    return max(1, min(_BLOCK, BLOCK_ELEMENTS // (n * n)))
+
+
+def _block_sizes(trials: int, block: int) -> list[int]:
     sizes = [block] * (trials // block)
     if trials % block:
         sizes.append(trials % block)
@@ -159,14 +181,16 @@ def _run_block(task):
 def _reduce(kernel, seed: int, key_prefix: tuple, args: tuple, trials: int, workers: int) -> list:
     """Column totals of ``kernel``'s partials over the blocks of one grid point.
 
-    Block ``i`` calls ``kernel(generator, *args, count)`` with the generator
-    of stream ``(seed, key_prefix + (i,))`` and returns a tuple of partial
-    columns.  Integer and count-array columns add exactly and float columns
-    go through ``math.fsum``, so the totals do not depend on ``workers``.
+    ``args[0]`` is the matrix dimension N, which sets the block size
+    (:func:`_block_matrices`).  Block ``i`` calls ``kernel(generator, *args,
+    count)`` with the generator of stream ``(seed, key_prefix + (i,))`` and
+    returns a tuple of partial columns.  Integer and count-array columns add
+    exactly and float columns go through ``math.fsum``, so the totals do not
+    depend on ``workers``.
     """
     tasks = [
         (kernel, seed, key_prefix + (i,), args, size)
-        for i, size in enumerate(_block_sizes(trials))
+        for i, size in enumerate(_block_sizes(trials, _block_matrices(args[0])))
     ]
     parts = _run_blocks(_run_block, tasks, workers)
     return [math.fsum(col) if isinstance(col[0], float) else sum(col) for col in zip(*parts)]
@@ -213,7 +237,14 @@ def _result_table(
         experiment=experiment,
         columns=list(rows[0]),
         rows=[{**row, **stamp} for row in rows],
-        metadata={**stamp, "snr_convention": convention, "version": __version__, **metadata},
+        metadata={
+            **stamp,
+            "snr_convention": convention,
+            "version": __version__,
+            "stream_layout": STREAM_LAYOUT,
+            "block_elements": BLOCK_ELEMENTS,
+            **metadata,
+        },
     )
 
 
@@ -223,7 +254,7 @@ def _result_table(
 
 
 def _table1_block(g, n, count):
-    s = _normalized_draw(g, count, n)[1]
+    s = _gaussian_spectra(g, count, n, 2)
     smin = s[:, -1]
     cond = s[:, 0] / s[:, -1]
     return (
@@ -273,7 +304,7 @@ def run_table1(
 
 
 def _gain_block(g, n, variance, count):
-    s = _normalized_draw(g, count, n)[1]
+    s = _gaussian_spectra(g, count, n, 2)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         numerator, denominator = _mmse_snr_terms(s, variance)
         gain = _gain_db(numerator / denominator, _zf_snr(s, variance))
@@ -328,15 +359,14 @@ def run_gain_sweep(
 
 
 def _cdf_block(g, n, grid, count):
-    smin = _normalized_draw(g, count, n)[1][:, -1]
+    smin = _gaussian_spectra(g, count, n, 2)[:, -1]
     return (count, np.count_nonzero(smin[:, None] <= np.asarray(grid)[None, :], axis=0))
 
 
 def _edelman_block(g, n, tail_grid, count):
     # Real Gaussian entries with variance 1/n: the ensemble whose scaled
     # minimum singular value has the exp(-x - x^2/2) limit law.
-    raw = g.standard_normal((count, n, n)) / math.sqrt(n)
-    scaled = n * np.linalg.svd(raw, compute_uv=False)[:, -1]
+    scaled = math.sqrt(n) * _gaussian_spectra(g, count, n, 1, normalized=False)[:, -1]
     return (count, np.count_nonzero(scaled[:, None] >= np.asarray(tail_grid)[None, :], axis=0))
 
 

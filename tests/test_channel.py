@@ -90,6 +90,79 @@ class TestBatchedKernels:
             channel._spectrum_profile(3, 2.0, 0.1, "linear")
 
 
+def _ks(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic of samples ``a`` and ``b``."""
+    a, b = np.sort(a), np.sort(b)
+    x = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, x, side="right") / a.size
+    cdf_b = np.searchsorted(b, x, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def _ks_critical(n, m):
+    """Two-sample KS critical value at significance level 0.001."""
+    return 1.949 * math.sqrt((n + m) / (n * m))
+
+
+def _dense_spectra(g, count, n, beta):
+    """Spectra of dense Gaussian draws: normalized CN(0, 1), or real with variance 1."""
+    if beta == 2:
+        return channel._normalized_draw(g, count, n)[1]
+    return np.linalg.svd(g.standard_normal((count, n, n)), compute_uv=False)
+
+
+class TestGaussianSpectra:
+    @pytest.mark.parametrize("n", [2, 4, 12, 64])
+    def test_descending_positive_and_normalized(self, n):
+        s = channel._gaussian_spectra(RngStream(n).generator(), 300, n, 2)
+        assert s.shape == (300, n)
+        assert np.all(s[:, -1] > 0.0) and np.all(np.diff(s, axis=1) <= 0.0)
+        assert np.max(np.abs(np.sum(s * s, axis=1) - n * n)) <= 1e-12 * n * n
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_unnormalized_entries_have_unit_variance(self, beta):
+        # sum(s^2) = ||H||_F^2 is chi^2 with beta n^2 degrees of freedom over
+        # beta: mean n^2, sd n sqrt(2 / beta); 4000 draws pin the mean to 1%.
+        s = channel._gaussian_spectra(RngStream(30 + beta).generator(), 4000, 6, beta, normalized=False)
+        assert np.mean(np.sum(s * s, axis=1)) == pytest.approx(36.0, rel=0.01)
+
+    def test_same_generator_state_same_spectra(self):
+        a = channel._gaussian_spectra(RngStream(5, (1,)).generator(), 50, 8, 2)
+        b = channel._gaussian_spectra(RngStream(5, (1,)).generator(), 50, 8, 2)
+        np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_complex_law_matches_dense_draws(self, n):
+        m = 20000
+        s = channel._gaussian_spectra(RngStream(1, (n,)).generator(), m, n, 2)
+        d = _dense_spectra(RngStream(2, (n,)).generator(), m, n, 2)
+        critical = _ks_critical(m, m)
+        assert _ks(s[:, -1], d[:, -1]) <= critical
+        assert _ks(s[:, 0] / s[:, -1], d[:, 0] / d[:, -1]) <= critical
+
+    def test_real_law_matches_dense_draws(self):
+        m = 20000
+        s = channel._gaussian_spectra(RngStream(1, (8,)).generator(), m, 8, 1, normalized=False)
+        d = _dense_spectra(RngStream(2, (8,)).generator(), m, 8, 1)
+        assert _ks(s[:, -1], d[:, -1]) <= _ks_critical(m, m)
+
+    def test_ks_tells_the_real_from_the_complex_ensemble(self):
+        # The check above has power: at 4x4 the real and complex normalized
+        # ensembles are told apart at the same sample size.
+        m = 20000
+        real = channel._gaussian_spectra(RngStream(3).generator(), m, 4, 1)
+        d = _dense_spectra(RngStream(2, (4,)).generator(), m, 4, 2)
+        assert _ks(real[:, -1], d[:, -1]) > 5 * _ks_critical(m, m)
+
+    def test_real_n64_scaled_tail(self):
+        # P[N sigma_min >= x] for entries of variance 1/N, against
+        # exp(-x - x^2/2) at the acceptance suite's tolerance.
+        s = channel._gaussian_spectra(RngStream(4).generator(), 8192, 64, 1, normalized=False)
+        scaled = 8.0 * s[:, -1]
+        for x in (0.5, 1.0, 2.0):
+            assert abs(np.mean(scaled >= x) - math.exp(-x - x * x / 2)) <= 0.03
+
+
 class TestNormalize:
     def test_identity_scales_to_sqrt2(self):
         real = channel.normalize(np.eye(2))

@@ -402,3 +402,44 @@ class TestRunBlocks:
         capped = run_gain_sweep([2], [10.0], trials=9000, master_seed=4, workers=100000)
         assert pool.sizes == [2]
         assert capped.rows == run_gain_sweep([2], [10.0], trials=9000, master_seed=4).rows
+
+
+class TestBlockRule:
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_small_dims_keep_full_blocks(self, n):
+        assert experiments._block_matrices(n) == 8192
+
+    def test_budget_binds_from_23(self):
+        assert experiments._block_matrices(23) == experiments.BLOCK_ELEMENTS // 23**2 < 8192
+
+    def test_n64_blocks_hold_1024_matrices(self):
+        assert experiments._block_matrices(64) == 1024
+
+    @pytest.mark.parametrize("n", [128, 1024, 2048])
+    def test_blocks_stay_within_the_element_budget(self, n):
+        assert experiments._block_matrices(n) * n * n <= 2**22
+
+    @pytest.mark.parametrize("n", [2, 64, 2048, 2049, 10**6])
+    def test_at_least_one_matrix_per_block(self, n):
+        assert experiments._block_matrices(n) >= 1
+
+    def test_reduce_splits_trials_by_the_rule(self, monkeypatch):
+        sizes = []
+
+        def record(worker, tasks, workers):
+            sizes.extend(task[-1] for task in tasks)
+            return [(task[-1],) for task in tasks]
+
+        monkeypatch.setattr(experiments, "_run_blocks", record)
+        assert experiments._reduce(None, 0, (1,), (64,), 2500, 1) == [2500]
+        assert sizes == [1024, 1024, 452]
+
+    def test_worker_count_invariant_where_the_budget_binds(self):
+        a = run_min_singular_cdf([64], trials=2500, master_seed=6, workers=1)
+        b = run_min_singular_cdf([64], trials=2500, master_seed=6, workers=2)
+        assert a.rows == b.rows
+
+    def test_layout_recorded_in_the_metadata(self, table1_table, condratio_table):
+        for table in (table1_table, condratio_table):
+            assert table.metadata["stream_layout"] == 2
+            assert table.metadata["block_elements"] == 2**22

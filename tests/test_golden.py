@@ -35,6 +35,20 @@ Names, sample counts, tolerances and pass rules did not change; only the
 worst-case figures in the detail column moved.  The twelve CLI hashes and
 the library hash did not move.
 
+All fourteen hashes were recorded again for stream layout 2.  The table1,
+gain and cdf runners now draw singular values from the bidiagonal
+Gaussian model instead of decomposing dense draws, which changes their
+draws and data rows; every table's metadata gained ``stream_layout`` and
+``block_elements``, which changes the ``#`` line of every CSV (and the
+condratio CSV inside the library stream) and the metadata of every JSON.
+The ber, ber-floored and condratio data rows are byte-identical to
+layout 1: at N <= 22 the element budget keeps 8192-matrix blocks.  In the
+same recording the props details of ``snr_mmse_dominates_snr_zf``,
+``cond_ratio_bounded_by_one`` and ``cdf_dominance`` moved: their running
+worst now starts at -inf, and the CDF deficit is taken only where its
+standard error is nonzero, so they report the sampled worst instead of
+0.  Pass rules did not change.
+
 The hashes were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
 (scipy-openblas, Haswell kernels), CPython 3.11, x86_64.  Another numpy
 or BLAS build may round an SVD or a solve differently in the last bit and
@@ -77,20 +91,20 @@ CLI_CASES = {
 }
 
 GOLDEN = {
-    ("table1", "csv"): "07407927369be74571ef7d6421df77c62814b8979d64a3d55d9ac2a7cebfefdf",
-    ("table1", "json"): "f9c24df95809cb91d1249b70018b592ab433df7f570abd5726fecf2f0dd4eb3d",
-    ("gain", "csv"): "20f65ace23b8cc2cdb22e128432ac2458944f479e2fd976a568c56287a12af1a",
-    ("gain", "json"): "a437dfb1698346158870734198406bdefc49b252c4055d07bfe3b97855c78917",
-    ("cdf", "csv"): "4bbf28b4d39629fe1a7c3bc4414fc7ac53b464aab4f6b0efbb797cff357ff64f",
-    ("cdf", "json"): "4f67661b350e386f18674ed7a87be73f2a8da5e0f8d3c9a0e18e5c475725fd6d",
-    ("ber", "csv"): "377453fdb67492c002cf4a7b37e8730c25ab070ded073059a962d2d1a584687b",
-    ("ber", "json"): "394898af20e67131f2e55e00590afc597dc329cfbb3ec8b96a691c4152723d50",
-    ("ber-floored", "csv"): "61c9074648fd8b12b06ba5fb32f33160a91f30b11835d4541f254c6b0efc0b22",
-    ("ber-floored", "json"): "65708f5293d1410d10f3e68e6c85be394fe7cba2499f7bf65b1e2d19865797d9",
-    ("condratio", "csv"): "76125d9cae81a1a43bc665bc8b49822caffe8f927e24af3f5d0132e59579389d",
-    ("condratio", "json"): "676c8681f9cc899ef731643206c69ab2955752b1c997f880e3b6095220808589",
-    ("props", "csv"): "ecb75eaf52e44cd2920265c05ecc72740181c682fb235c6cc1c864dc6d146564",
-    ("library", "bytes"): "6673b2794402b2ffb37112e1a164307dcf7c841e3d71a44a76c74ad6ed459eab",
+    ("table1", "csv"): "9a16ce0ad923bbc9a6c834f0c70929ac52782e0d01e458ceac7d4dad43f95050",
+    ("table1", "json"): "60bb6277c1640df1d86c3a0798386bb08285be7e08e724e3b97ee0b1b2ed4f39",
+    ("gain", "csv"): "bd5334ac00cccf530953a13627e69633e6991b34888d4a4e1891d54ac68dbb35",
+    ("gain", "json"): "821c052be8ab85872326583d0aa59b64b00d5bd21bcb25c7caf754c6de6c979b",
+    ("cdf", "csv"): "617856f6d75d17ab8de8452c470a81febec4b6e318b3f88d6a9c3f0f9b20ee9d",
+    ("cdf", "json"): "739fff7db707fd7a5c15644afc3e5b5e9f91a3b9683f76a74a98706a17d55e71",
+    ("ber", "csv"): "a3f280130bcffd60655746a11e7b2e5e12e3a4fdc5d9934d8bc9334be94b818b",
+    ("ber", "json"): "7d56990e1499437518be97385305dfb6a5e1b973770cc46c06129df5baa09549",
+    ("ber-floored", "csv"): "68f6c574eaecbcd98e8772ee1765a48e55d46dcf6b8e1403ddfd7c7d97e90d95",
+    ("ber-floored", "json"): "8d19f71d8e0c6102d736ae656aaf0657911779b72cf6fe7c08e3e7463f4ae0aa",
+    ("condratio", "csv"): "0c10a5174ae4da72f38d4b3096c5dacf56e8abf2037127318b0fe84509dd4726",
+    ("condratio", "json"): "a15aeb9963855b8dc0c1c221c90603f12f807c3fdb64babb0c1ae4f44d030560",
+    ("props", "csv"): "51845a58cb99b47d25a31b8833653430c68d652bd789e5c141c28a0e1d5b462b",
+    ("library", "bytes"): "2bce99f3311997d580fa8d76d5e6902bcbc8127d4a86ee4fa4abf832c65016ea",
 }
 
 

@@ -95,3 +95,33 @@ def test_snr_ratio_unity_limit_at_suite_seeds_1_and_4(seed):
     # snr_mmse / snr_zf below 1.
     result = properties.check_snr_zero_noise_limit(seed)
     assert result.passed, result.detail
+
+
+def _worst(detail, label):
+    """The number after ``label`` in a check's detail text."""
+    return float(detail.split(label)[1].split()[0].rstrip(","))
+
+
+@pytest.mark.parametrize(
+    "check, label",
+    [
+        (lambda: properties.check_snr_ordering(samples=120), "(zf-mmse)/zf"),
+        (lambda: properties.check_cond_ratio_bounds(matrices=60), "exact excess"),
+        (lambda: properties.check_cond_ratio_bounds(matrices=60), "approx excess"),
+        (lambda: properties.check_cdf_dominance(trials=2000), "slacked deficit"),
+    ],
+)
+def test_worst_figures_report_the_sampled_worst(check, label):
+    # These worst cases are negative on correct code; a running worst that
+    # started at 0, or a deficit taken where both CDFs are 0 or 1, read 0.
+    result = check()
+    assert result.passed, result.detail
+    assert _worst(result.detail, label) < 0.0, result.detail
+
+
+def test_cauchy_schwarz_worst_is_exact_equality_at_one_antenna():
+    # b - a is 0 for N = 1 and negative for N >= 2, so a run that samples
+    # N = 1 reports exactly 0; the single sample at the default seed has
+    # N >= 2 and reports its negative b - a.
+    assert _worst(properties.check_mmse_abc_inequality(samples=120).detail, "b - a") == 0.0
+    assert _worst(properties.check_mmse_abc_inequality(samples=1).detail, "b - a") < 0.0
