@@ -6,9 +6,12 @@ only on the matrix dimension N: ``min(8192, BLOCK_ELEMENTS // N**2)``
 matrices, and at least one, so no block holds much more than
 ``BLOCK_ELEMENTS`` matrix elements.  Every block derives its own random
 substream from ``(master_seed, experiment tag, grid-point index, block
-index)`` and blocks are reduced in a fixed order with exact summation, so
+index)``.  A block kernel returns only per-trial columns, trials on axis
+0; each block reduces every column to its count, total and total of
+squares, and the blocks merge in a fixed order with exact summation, so
 results are bit-identical regardless of the worker count and of how blocks
-are scheduled.  This module holds only that scheduling and reduction; the
+are scheduled.  Runners derive means and standard errors from those
+triples alone.  This module holds only that scheduling and reduction; the
 maths comes from :mod:`lindet.channel`, :mod:`lindet.detection` and
 :mod:`lindet.analysis`, called on stacks.
 
@@ -173,30 +176,42 @@ def _run_blocks(worker, tasks: list, workers: int) -> list:
         return list(pool.map(worker, tasks))
 
 
-def _run_block(task):
+def _run_block(task) -> list[tuple]:
+    """``(count, total, total of squares)`` over axis 0 of each column the kernel returns."""
     kernel, seed, key, args, count = task
-    return kernel(RngStream(seed, key).generator(), *args, count)
+    columns = kernel(RngStream(seed, key).generator(), *args, count)
+    return [(len(x), np.sum(x, axis=0).tolist(), np.sum(x * x, axis=0).tolist()) for x in columns]
+
+
+def _exact_sum(values):
+    """Exact sum of per-block totals: ``math.fsum`` for floats, elementwise for lists."""
+    if isinstance(values[0], list):
+        return [_exact_sum(v) for v in zip(*values)]
+    return math.fsum(values) if isinstance(values[0], float) else sum(values)
 
 
 def _reduce(kernel, seed: int, key_prefix: tuple, args: tuple, trials: int, workers: int) -> list:
-    """Column totals of ``kernel``'s partials over the blocks of one grid point.
+    """``(count, total, total of squares)`` of each of ``kernel``'s columns over one grid point.
 
     ``args[0]`` is the matrix dimension N, which sets the block size
     (:func:`_block_matrices`).  Block ``i`` calls ``kernel(generator, *args,
-    count)`` with the generator of stream ``(seed, key_prefix + (i,))`` and
-    returns a tuple of partial columns.  Integer and count-array columns add
-    exactly and float columns go through ``math.fsum``, so the totals do not
-    depend on ``workers``.
+    count)`` with the generator of stream ``(seed, key_prefix + (i,))``; the
+    kernel returns a tuple of per-trial columns with trials on axis 0, and
+    :func:`_run_block` reduces each to a triple (a column with more axes
+    gives lists of totals).  The triples merge in block order: counts and
+    integer or boolean totals add exactly and float totals go through
+    ``math.fsum``, so the result does not depend on ``workers``.  Every
+    value is a Python ``int``, ``float`` or ``list``.
     """
     tasks = [
         (kernel, seed, key_prefix + (i,), args, size)
         for i, size in enumerate(_block_sizes(trials, _block_matrices(args[0])))
     ]
     parts = _run_blocks(_run_block, tasks, workers)
-    return [math.fsum(col) if isinstance(col[0], float) else sum(col) for col in zip(*parts)]
+    return [tuple(_exact_sum(v) for v in zip(*blocks)) for blocks in zip(*parts)]
 
 
-def _mean_se(total: float, total_sq: float, count: int) -> tuple[float, float]:
+def _mean_se(count: int, total: float, total_sq: float) -> tuple[float, float]:
     if count < 1:
         return math.nan, math.nan
     mean = total / count
@@ -255,15 +270,7 @@ def _result_table(
 
 def _table1_block(g, n, count):
     s = _gaussian_spectra(g, count, n, 2)
-    smin = s[:, -1]
-    cond = s[:, 0] / s[:, -1]
-    return (
-        count,
-        float(np.sum(smin)),
-        float(np.sum(smin * smin)),
-        float(np.sum(cond)),
-        float(np.sum(cond * cond)),
-    )
+    return s[:, -1], s[:, 0] / s[:, -1]
 
 
 def run_table1(
@@ -281,11 +288,9 @@ def run_table1(
     dims = _check_run(dims, trials, master_seed, workers)
     rows = []
     for n in dims:
-        count, sum_s, sum_s2, sum_c, sum_c2 = _reduce(
-            _table1_block, master_seed, (_TAG_TABLE1, n), (n,), trials, workers
-        )
-        mean_s, se_s = _mean_se(sum_s, sum_s2, count)
-        mean_c, se_c = _mean_se(sum_c, sum_c2, count)
+        smin, cond = _reduce(_table1_block, master_seed, (_TAG_TABLE1, n), (n,), trials, workers)
+        mean_s, se_s = _mean_se(*smin)
+        mean_c, se_c = _mean_se(*cond)
         rows.append(
             {
                 "n": n,
@@ -308,8 +313,7 @@ def _gain_block(g, n, variance, count):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         numerator, denominator = _mmse_snr_terms(s, variance)
         gain = _gain_db(numerator / denominator, _zf_snr(s, variance))
-    kept = gain[np.isfinite(gain)]
-    return (kept.size, float(np.sum(kept)), float(np.sum(kept * kept)), count - kept.size)
+    return (gain[np.isfinite(gain)],)
 
 
 def run_gain_sweep(
@@ -334,17 +338,17 @@ def run_gain_sweep(
     rows = []
     for n, n_variances in zip(dims, variances):
         for si, (snr_db, variance) in enumerate(zip(snr_grid_db, n_variances)):
-            kept, sum_g, sum_g2, excluded = _reduce(
+            [gain] = _reduce(
                 _gain_block, master_seed, (_TAG_GAIN, n, si), (n, variance), trials, workers
             )
-            mean_g, se_g = _mean_se(sum_g, sum_g2, kept)
+            mean_g, se_g = _mean_se(*gain)
             rows.append(
                 {
                     "n": n,
                     "snr_db": snr_db,
                     "mean_gain_db": mean_g,
                     "se_gain_db": se_g,
-                    "n_excluded": excluded,
+                    "n_excluded": trials - gain[0],
                 }
             )
     return _result_table(
@@ -360,14 +364,14 @@ def run_gain_sweep(
 
 def _cdf_block(g, n, grid, count):
     smin = _gaussian_spectra(g, count, n, 2)[:, -1]
-    return (count, np.count_nonzero(smin[:, None] <= np.asarray(grid)[None, :], axis=0))
+    return (smin[:, None] <= np.asarray(grid)[None, :],)
 
 
 def _edelman_block(g, n, tail_grid, count):
     # Real Gaussian entries with variance 1/n: the ensemble whose scaled
     # minimum singular value has the exp(-x - x^2/2) limit law.
     scaled = math.sqrt(n) * _gaussian_spectra(g, count, n, 1, normalized=False)[:, -1]
-    return (count, np.count_nonzero(scaled[:, None] >= np.asarray(tail_grid)[None, :], axis=0))
+    return (scaled[:, None] >= np.asarray(tail_grid)[None, :],)
 
 
 def run_min_singular_cdf(
@@ -398,9 +402,9 @@ def run_min_singular_cdf(
     )
     rows = []
     for statistic, n, xs, kernel, tag, reference in sweeps:
-        count, hits = _reduce(kernel, master_seed, (tag, n), (n, xs), trials, workers)
+        [(count, hits, _)] = _reduce(kernel, master_seed, (tag, n), (n, xs), trials, workers)
         for x, k in zip(xs, hits):
-            p = float(k / count)
+            p = k / count
             rows.append(
                 {
                     "statistic": statistic,
@@ -432,15 +436,7 @@ def _ber_block(g, n, variance, floor, max_attempts, count):
     w_zf, w_mmse = _filters(h, 0.0, variance)
     k_zf = np.count_nonzero(qpsk_slice(np.einsum("bij,bj->bi", w_zf, r)) != bits, axis=1)
     k_mmse = np.count_nonzero(qpsk_slice(np.einsum("bij,bj->bi", w_mmse, r)) != bits, axis=1)
-    diff = k_zf - k_mmse
-    return (
-        count,
-        int(np.sum(k_zf)),
-        int(np.sum(k_zf * k_zf)),
-        int(np.sum(k_mmse)),
-        int(np.sum(k_mmse * k_mmse)),
-        int(np.sum(diff * diff)),
-    )
+    return k_zf, k_mmse, k_zf - k_mmse
 
 
 #: Rows whose accumulated bit errors fall below this count are flagged.
@@ -476,15 +472,14 @@ def run_ber_sweep(
     rows = []
     bits_per_trial = 2 * n
     for si, (snr_db, variance) in enumerate(zip(snr_grid_db, variances)):
-        count, sum_z, sumsq_z, sum_m, sumsq_m, sumsq_d = _reduce(
+        zf, mmse, diff = _reduce(
             _ber_block, master_seed, (_TAG_BER, si), (n, variance, floor, max_attempts),
             trials, workers,
         )
-        total_bits = count * bits_per_trial
-        _, se_kd = _mean_se(float(sum_z - sum_m), float(sumsq_d), count)
-        se_paired = se_kd / bits_per_trial if count > 1 else math.nan
-        for detector, errors, sumsq in (("zf", sum_z, sumsq_z), ("mmse", sum_m, sumsq_m)):
-            _, se_k = _mean_se(float(errors), float(sumsq), count)
+        total_bits = zf[0] * bits_per_trial
+        se_paired = _mean_se(*diff)[1] / bits_per_trial
+        for detector, column in (("zf", zf), ("mmse", mmse)):
+            errors = column[1]
             rows.append(
                 {
                     "detector": detector,
@@ -492,7 +487,7 @@ def run_ber_sweep(
                     "ber": errors / total_bits,
                     "bit_errors": errors,
                     "bits": total_bits,
-                    "se_ber": se_k / bits_per_trial if count > 1 else math.nan,
+                    "se_ber": _mean_se(*column)[1] / bits_per_trial,
                     "se_paired_diff": se_paired,
                     "low_confidence": int(errors < LOW_CONFIDENCE_ERRORS),
                 }
@@ -510,14 +505,7 @@ def run_ber_sweep(
 
 def _cond_ratio_block(g, n, spectrum, variance, count):
     cond_zf, cond_mmse = _filter_conds(_synthesized_stack(spectrum, count, g), variance)
-    ratio = cond_mmse / cond_zf
-    return (
-        count,
-        float(np.sum(ratio)),
-        float(np.sum(ratio * ratio)),
-        float(np.sum(cond_zf)),
-        float(np.sum(cond_mmse)),
-    )
+    return cond_mmse / cond_zf, cond_zf, cond_mmse
 
 
 def run_cond_ratio_sweep(
@@ -544,19 +532,19 @@ def run_cond_ratio_sweep(
     rows = []
     for gi, sigma_min in enumerate(sigma_min_grid):
         spectrum = _spectrum_profile(n, cond_target, sigma_min, interior)
-        count, sum_r, sum_r2, sum_cz, sum_cm = _reduce(
+        ratio, cond_zf, cond_mmse = _reduce(
             _cond_ratio_block, master_seed, (_TAG_CONDRATIO, gi), (n, spectrum, noise.variance),
             trials, workers,
         )
-        mean_r, se_r = _mean_se(sum_r, sum_r2, count)
+        mean_r, se_r = _mean_se(*ratio)
         rows.append(
             {
                 "sigma_min": sigma_min,
                 "mean_exact_ratio": mean_r,
                 "se_exact_ratio": se_r,
                 "approx_ratio": cond_ratio_approx(cond_target * sigma_min, sigma_min, noise),
-                "mean_cond_w_zf": sum_cz / count,
-                "mean_cond_w_mmse": sum_cm / count,
+                "mean_cond_w_zf": cond_zf[1] / cond_zf[0],
+                "mean_cond_w_mmse": cond_mmse[1] / cond_mmse[0],
             }
         )
     return _result_table(

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from lindet import analysis, experiments
+from lindet.channel import RngStream
 from lindet.exceptions import DimensionError, SamplingExhaustedError
 from lindet.experiments import (
     noise_var_from_inverse_snr,
@@ -427,11 +429,12 @@ class TestBlockRule:
         sizes = []
 
         def record(worker, tasks, workers):
+            # One (count, total, total of squares) triple per column and block.
             sizes.extend(task[-1] for task in tasks)
-            return [(task[-1],) for task in tasks]
+            return [[(task[-1], 0.0, 0.0)] for task in tasks]
 
         monkeypatch.setattr(experiments, "_run_blocks", record)
-        assert experiments._reduce(None, 0, (1,), (64,), 2500, 1) == [2500]
+        assert experiments._reduce(None, 0, (1,), (64,), 2500, 1) == [(2500, 0.0, 0.0)]
         assert sizes == [1024, 1024, 452]
 
     def test_worker_count_invariant_where_the_budget_binds(self):
@@ -443,3 +446,56 @@ class TestBlockRule:
         for table in (table1_table, condratio_table):
             assert table.metadata["stream_layout"] == 2
             assert table.metadata["block_elements"] == 2**22
+
+
+_TOY_GRID = (-0.5, 0.0, 0.5)
+
+
+def _toy_block(g, n, grid, count):
+    x = g.standard_normal(count)
+    return x, g.integers(0, 5, size=count), x[:, None] <= np.asarray(grid)[None, :]
+
+
+class TestReduceContract:
+    """``_reduce`` turns per-trial columns into exact (count, total, total of squares)."""
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        # The same draws _reduce makes: N = 64 splits 2500 trials as 1024/1024/452.
+        blocks = [
+            _toy_block(RngStream(5, (9, i)).generator(), 64, _TOY_GRID, size)
+            for i, size in enumerate([1024, 1024, 452])
+        ]
+        return [np.concatenate(column) for column in zip(*blocks)], blocks
+
+    @pytest.fixture(scope="class")
+    def reduced(self):
+        return experiments._reduce(_toy_block, 5, (9,), (64, _TOY_GRID), 2500, 2)
+
+    def test_float_column_is_the_fsum_of_block_sums(self, reduced, draws):
+        (x, _, _), blocks = draws
+        assert reduced[0] == (
+            2500,
+            math.fsum(float(np.sum(b[0])) for b in blocks),
+            math.fsum(float(np.sum(b[0] * b[0])) for b in blocks),
+        )
+        assert reduced[0][1] == pytest.approx(math.fsum(x.tolist()), rel=1e-12)
+
+    def test_int_and_bool_columns_are_exact_sums(self, reduced, draws):
+        (x, k, hits), _ = draws
+        assert reduced[1] == (2500, sum(k.tolist()), sum(v * v for v in k.tolist()))
+        counts = [sum(row) for row in zip(*hits.tolist())]
+        assert reduced[2] == (2500, counts, counts)
+        assert counts == [int(np.count_nonzero(x <= t)) for t in _TOY_GRID]
+
+    def test_worker_count_invariant(self):
+        args = (_toy_block, 5, (9,), (64, _TOY_GRID), 2500)
+        assert experiments._reduce(*args, 1) == experiments._reduce(*args, 2)
+
+    def test_totals_are_python_numbers(self, reduced):
+        for count, *totals in reduced:
+            assert type(count) is int
+            for total in totals:
+                assert type(total) in (int, float, list)
+                if type(total) is list:
+                    assert all(type(v) is int for v in total)
