@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 on usage errors (unknown flags, malformed or
 out-of-range values), 2 on runtime failures (sampling exhaustion,
-unwritable output) and on ``props`` invariant violations.
+unwritable output, out of memory) and on ``props`` invariant violations.
 
 Output files are byte-identical across identical invocations.  CSV files
 start with a header line followed by a ``#`` metadata comment carrying the
@@ -404,8 +404,8 @@ def run_cli(argv) -> int:
             return _report_props(result, kwargs["master_seed"], opts)
         _emit(result, opts)
         return 0
-    except (LindetError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (LindetError, MemoryError, OSError, ValueError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -138,6 +138,18 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 7.28 TiB"), MemoryError()])
+    def test_allocation_failure_is_runtime_error(self, exc, capsys, tmp_path, monkeypatch):
+        def run_table1(**kwargs):
+            raise exc
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_table1", run_table1)
+        assert run(["table1", "--dims", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {str(exc) or 'MemoryError'}\n"
+        assert not list(tmp_path.iterdir())
+
 
 class TestCsvOutput:
     def test_structure_and_determinism(self, tmp_path, monkeypatch, capsys):
