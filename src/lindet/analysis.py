@@ -293,7 +293,7 @@ def empirical_distortion_snr(
     summation, so results are reproducible regardless of how callers shard
     trials across workers.
     """
-    m = linalg._require_square(linalg.as_complex_matrix(h, name="channel"), "channel")
+    m = linalg._require_square(h, "channel")
     if w.matrix.shape[1] != m.shape[0]:
         raise DimensionError(
             f"filter expects length {w.matrix.shape[1]}, channel outputs "

@@ -135,7 +135,7 @@ def normalize(h) -> ChannelRealization:
     DegenerateInputError
         If ``h`` has zero Frobenius norm (is all zero or underflows).
     """
-    m = linalg._require_square(linalg.as_complex_matrix(h, name="channel"), "channel")
+    m = linalg._require_square(h, "channel")
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = _normalized(m)
     if not np.all(np.isfinite(scaled)):

@@ -105,7 +105,7 @@ def mmse_filter(h, noise: NoiseModel) -> FilterMatrix:
 
 def _guarded_channel(h, variance: float) -> np.ndarray:
     """Square finite channel whose ``H^H H + variance I`` passes the singularity guard."""
-    m = linalg._require_square(linalg.as_complex_matrix(h, name="channel"), "channel")
+    m = linalg._require_square(h, "channel")
     linalg._nonsingular(linalg.gram(m) + variance * np.eye(len(m)), "Gram matrix is singular")
     return m
 

@@ -54,7 +54,9 @@ def as_spectrum(values, name="spectrum") -> np.ndarray:
     return s
 
 
-def _require_square(m: np.ndarray, name="matrix") -> np.ndarray:
+def _require_square(a, name="matrix") -> np.ndarray:
+    """:func:`as_complex_matrix` of ``a``, which must also be square."""
+    m = as_complex_matrix(a, name)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
     return m
@@ -78,7 +80,7 @@ def _nonsingular(a, message: str) -> None:
     Singular means ``sigma_min <= SINGULARITY_RTOL * sigma_max``; the error
     carries ``message`` and both extreme singular values.
     """
-    s = np.linalg.svd(_require_square(as_complex_matrix(a)), compute_uv=False)
+    s = np.linalg.svd(_require_square(a), compute_uv=False)
     smax, smin = float(s[0]), float(s[-1])
     if smin <= SINGULARITY_RTOL * smax:
         raise SingularMatrixError(
