@@ -49,6 +49,13 @@ worst now starts at -inf, and the CDF deficit is taken only where its
 standard error is nonzero, so they report the sampled worst instead of
 0.  Pass rules did not change.
 
+The ("props", "csv") hash was recorded again when
+``mmse_abc_cauchy_schwarz`` began to report its worst ``b - a`` over the
+N >= 2 samples only: at N = 1 ``a == b`` exactly, so the figure read
+0.000e+00 at every seed that samples N = 1.  It now reads -1.460e-06 at
+seed 0; the pass rule still covers every sample.  Only that detail moved;
+the other thirteen hashes did not.
+
 The hashes were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
 (scipy-openblas, Haswell kernels), CPython 3.11, x86_64.  Another numpy
 or BLAS build may round an SVD or a solve differently in the last bit and
@@ -103,7 +110,7 @@ GOLDEN = {
     ("ber-floored", "json"): "8d19f71d8e0c6102d736ae656aaf0657911779b72cf6fe7c08e3e7463f4ae0aa",
     ("condratio", "csv"): "0c10a5174ae4da72f38d4b3096c5dacf56e8abf2037127318b0fe84509dd4726",
     ("condratio", "json"): "a15aeb9963855b8dc0c1c221c90603f12f807c3fdb64babb0c1ae4f44d030560",
-    ("props", "csv"): "51845a58cb99b47d25a31b8833653430c68d652bd789e5c141c28a0e1d5b462b",
+    ("props", "csv"): "04e756722d31cef125ef49a04ea79543673361b91f2bd20ac4e7e9cfe7bd8345",
     ("library", "bytes"): "2bce99f3311997d580fa8d76d5e6902bcbc8127d4a86ee4fa4abf832c65016ea",
 }
 

@@ -119,9 +119,16 @@ def test_worst_figures_report_the_sampled_worst(check, label):
     assert _worst(result.detail, label) < 0.0, result.detail
 
 
-def test_cauchy_schwarz_worst_is_exact_equality_at_one_antenna():
-    # b - a is 0 for N = 1 and negative for N >= 2, so a run that samples
-    # N = 1 reports exactly 0; the single sample at the default seed has
-    # N >= 2 and reports its negative b - a.
-    assert _worst(properties.check_mmse_abc_inequality(samples=120).detail, "b - a") == 0.0
+def test_cauchy_schwarz_worst_skips_the_one_antenna_equality():
+    # b - a is 0 for N = 1 and negative for N >= 2; the figure is the worst
+    # over N >= 2, so a run that samples N = 1 still reads negative.  The
+    # single sample at the default seed has N >= 2.
+    assert _worst(properties.check_mmse_abc_inequality(samples=120).detail, "b - a") < 0.0
     assert _worst(properties.check_mmse_abc_inequality(samples=1).detail, "b - a") < 0.0
+
+
+@pytest.mark.parametrize("seed, worst", [(110, -1.460e-06), (111, -1.164e-04), (112, -4.838e-03)])
+def test_cauchy_schwarz_worst_at_suite_seeds_0_to_2(seed, worst):
+    result = properties.check_mmse_abc_inequality(seed)
+    assert result.passed, result.detail
+    assert _worst(result.detail, "b - a") == worst
