@@ -56,6 +56,10 @@ N >= 2 samples only: at N = 1 ``a == b`` exactly, so the figure read
 seed 0; the pass rule still covers every sample.  Only that detail moved;
 the other thirteen hashes did not.
 
+``GOLDEN_PLOTS`` pins the gnuplot script that ``--emit-plot`` writes next
+to each single-worker CSV, keyed by experiment; the ber-floored script is
+the ber script.
+
 The hashes were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
 (scipy-openblas, Haswell kernels), CPython 3.11, x86_64.  Another numpy
 or BLAS build may round an SVD or a solve differently in the last bit and
@@ -114,6 +118,14 @@ GOLDEN = {
     ("library", "bytes"): "2bce99f3311997d580fa8d76d5e6902bcbc8127d4a86ee4fa4abf832c65016ea",
 }
 
+GOLDEN_PLOTS = {
+    "table1": "4af305c7fc263327ac7cbbb790ef7ac0b7bbc2c48da6e5c27f109a3657b4c0ad",
+    "gain": "6b640db834d191eee551538c2bd9648379eda22cfc1e7b643ef440ac2cd948c6",
+    "cdf": "415971135386d3f91d48ee09d3e5051badfa2c694c660fc17099c9f59b61b2cc",
+    "ber": "f6183101c1e7559e16eef98db8e93faaad60c1407aa9c3d92153fd55a18bfa86",
+    "condratio": "c231fe316b1f2db8e1d6344a8f4f31c57efaa164a6770c013f14062618babb72",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -128,10 +140,12 @@ def _cli_digest(tmp_path, argv, name):
 @pytest.mark.parametrize("case", list(CLI_CASES))
 def test_cli_output_bytes(case, tmp_path, capsys):
     argv = (*CLI_CASES[case], "--trials", "9000", "--seed", "3")
-    one = _cli_digest(tmp_path, (*argv, "--workers", "1"), "w1.csv")
+    one = _cli_digest(tmp_path, (*argv, "--workers", "1", "--emit-plot"), "w1.csv")
     two = _cli_digest(tmp_path, (*argv, "--workers", "2"), "w2.csv")
     assert one == two, "CSV bytes depend on the worker count"
     assert one == GOLDEN[case, "csv"]
+    plot = _sha256((tmp_path / "w1.csv.gnuplot").read_bytes())
+    assert plot == GOLDEN_PLOTS[CLI_CASES[case][0]]
     as_json = _cli_digest(tmp_path, (*argv, "--format", "json"), "out.json")
     assert as_json == GOLDEN[case, "json"]
 
