@@ -1,8 +1,10 @@
 """Command-line front end: parse flags, dispatch runners, write tables.
 
-Exit codes: 0 on success, 1 on usage errors (unknown flags, malformed or
-out-of-range values), 2 on runtime failures (sampling exhaustion,
-unwritable output, out of memory) and on ``props`` invariant violations.
+Exit codes: 0 on success; 1 on usage errors (flag syntax, values that do
+not parse, bad SNR ranges, ``--format``, config files); 2 on runtime
+failures, with one ``error:`` line, and on ``props`` invariant violations.
+A value that parses but that a runner rejects (``--trials 0``, ``--cond
+0.5``, ``--snr 4000``) is a runtime failure, raised before any block runs.
 
 Output files are byte-identical across identical invocations.  CSV files
 start with a header line followed by a ``#`` metadata comment carrying the
@@ -201,9 +203,8 @@ def _resolve_options(command: str, ns: argparse.Namespace) -> tuple[dict, dict]:
         opts[name] = default if text is None else convert(text)
     if opts["format"] not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {opts['format']!r}")
-    opts["out_explicit"] = opts["out"] is not None
-    if opts["out"] is None:
-        opts["out"] = f"{command}.{opts['format']}"
+    if opts["emit_plot"] and opts["format"] != "csv":
+        raise ValueError("--emit-plot needs --format csv: its script reads the table as CSV")
     return kwargs, opts
 
 
@@ -244,10 +245,7 @@ def _format_value(value) -> str:
 
 
 def _metadata_comment(metadata: dict) -> str:
-    keys = ["seed", "trials", "snr_convention", "version"]
-    parts = [f"{k}={metadata[k]}" for k in keys if k in metadata]
-    parts += [f"{k}={v}" for k, v in metadata.items() if k not in keys]
-    return "# " + " ".join(str(p) for p in parts)
+    return "# " + " ".join(f"{k}={v}" for k, v in metadata.items())
 
 
 def write_csv(table: ResultTable, path: str) -> None:
@@ -262,7 +260,9 @@ def write_csv(table: ResultTable, path: str) -> None:
 
 def _json_safe(value):
     # keep the output strictly valid JSON: NaN becomes null, infinities
-    # become their string markers
+    # become their string markers, also inside lists
+    if isinstance(value, list):
+        return [_json_safe(v) for v in value]
     if isinstance(value, float):
         if math.isnan(value):
             return None
@@ -274,12 +274,12 @@ def _json_safe(value):
 def write_json(table: ResultTable, path: str) -> None:
     payload = {
         "experiment": table.experiment,
-        "metadata": table.metadata,
+        "metadata": {k: _json_safe(v) for k, v in table.metadata.items()},
         "rows": [{c: _json_safe(row.get(c)) for c in table.columns} for row in table.rows],
     }
+    text = json.dumps(payload, indent=2, allow_nan=False)  # a failed render opens no file
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_table(table: ResultTable, path: str, fmt: str) -> None:
@@ -294,70 +294,63 @@ def write_table(table: ResultTable, path: str, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+#: experiment -> (axis settings, plot clauses).  A clause names columns as
+#: ``{column}``, each replaced by its 1-based position in the table (so
+#: ``${ber}`` becomes gnuplot's ``$3``); a clause with ``{dim}`` is repeated
+#: once for each ``n`` in the table.
+_PLOTS = {
+    "table1": (['set xlabel "N"', "set logscale y"], [
+        '{n}:{mean_sigma_min}:{se_sigma_min} with yerrorlines title "mean sigma_min"',
+        '{n}:{mean_cond}:{se_cond} with yerrorlines title "mean cond"',
+    ]),
+    "gain": (['set xlabel "receive SNR (dB)"', 'set ylabel "mean gain (dB)"'], [
+        '(${n}=={dim} ? ${snr_db} : 1/0):{mean_gain_db} with linespoints title "N={dim}"',
+    ]),
+    "ber": (['set xlabel "receive SNR (dB)"', 'set ylabel "BER"', "set logscale y"], [
+        '{snr_db}:(strcol({detector}) eq "zf" ? ${ber} : 1/0) with linespoints title "ZF"',
+        '{snr_db}:(strcol({detector}) eq "mmse" ? ${ber} : 1/0) with linespoints title "MMSE"',
+    ]),
+    "cdf": (['set xlabel "x"', 'set ylabel "P[sigma_min <= x]"'], [
+        '(strcol({statistic}) eq "cdf_sigma_min" && ${n}=={dim} ? ${x} : 1/0):{value} '
+        'with lines title "N={dim}"',
+    ]),
+    "condratio": (['set xlabel "sigma_min"', 'set ylabel "cond(W_mmse)/cond(W_zf)"'], [
+        '{sigma_min}:{mean_exact_ratio} with linespoints title "exact"',
+        '{sigma_min}:{approx_ratio} with linespoints title "approximation"',
+    ]),
+}
+
+
 def _plot_script(table: ResultTable, csv_path: str) -> str:
     name = os.path.basename(csv_path)
+    settings, clauses = _PLOTS[table.experiment]
+    columns = {c: i for i, c in enumerate(table.columns, start=1)}
+    using = [
+        clause.format(**columns, dim=n)
+        for clause in clauses
+        for n in (sorted({row["n"] for row in table.rows}) if "{dim}" in clause else [None])
+    ]
     lines = [
         f"# gnuplot script for {name}",
         'set datafile separator ","',
         'set datafile commentschars "#"',
         "set key outside",
         "set grid",
+        *settings,
+        "plot " + ", \\\n     ".join(f'"{name}" skip 1 using {u}' for u in using),
     ]
-    if table.experiment == "table1":
-        lines += [
-            'set xlabel "N"',
-            "set logscale y",
-            f'plot "{name}" skip 1 using 1:2:3 with yerrorlines title "mean sigma_min", \\',
-            f'     "{name}" skip 1 using 1:4:5 with yerrorlines title "mean cond"',
-        ]
-    elif table.experiment == "gain":
-        dims = sorted({row["n"] for row in table.rows})
-        lines += ['set xlabel "receive SNR (dB)"', 'set ylabel "mean gain (dB)"']
-        clauses = [
-            f'"{name}" skip 1 using ($1=={n} ? $2 : 1/0):3 with linespoints title "N={n}"'
-            for n in dims
-        ]
-        lines.append("plot " + ", \\\n     ".join(clauses))
-    elif table.experiment == "ber":
-        lines += [
-            'set xlabel "receive SNR (dB)"',
-            'set ylabel "BER"',
-            "set logscale y",
-            f'plot "{name}" skip 1 using 2:(strcol(1) eq "zf" ? $3 : 1/0) '
-            'with linespoints title "ZF", \\',
-            f'     "{name}" skip 1 using 2:(strcol(1) eq "mmse" ? $3 : 1/0) '
-            'with linespoints title "MMSE"',
-        ]
-    elif table.experiment == "cdf":
-        dims = sorted({row["n"] for row in table.rows if row["statistic"] == "cdf_sigma_min"})
-        lines += ['set xlabel "x"', 'set ylabel "P[sigma_min <= x]"']
-        clauses = [
-            f'"{name}" skip 1 using (strcol(1) eq "cdf_sigma_min" && $2=={n} ? $3 : 1/0):4 '
-            f'with lines title "N={n}"'
-            for n in dims
-        ]
-        lines.append("plot " + ", \\\n     ".join(clauses))
-    elif table.experiment == "condratio":
-        lines += [
-            'set xlabel "sigma_min"',
-            'set ylabel "cond(W_mmse)/cond(W_zf)"',
-            f'plot "{name}" skip 1 using 1:2 with linespoints title "exact", \\',
-            f'     "{name}" skip 1 using 1:4 with linespoints title "approximation"',
-        ]
-    else:
-        lines.append(f'plot "{name}" skip 1 using 1:2 with linespoints')
     return "\n".join(lines) + "\n"
 
 
 def _emit(table: ResultTable, opts: dict) -> None:
-    path = opts["out"]
+    """Write the table to ``--out`` (default ``{experiment}.{format}``), and its plot script."""
+    path = opts["out"] if opts["out"] is not None else f"{table.experiment}.{opts['format']}"
     write_table(table, path, opts["format"])
     print(f"wrote {path} ({len(table.rows)} rows)")
     if opts["emit_plot"]:
-        script_path = path + ".gnuplot"
-        with open(script_path, "w", encoding="utf-8") as fh:
+        with open(path + ".gnuplot", "w", encoding="utf-8") as fh:
             fh.write(_plot_script(table, path))
-        print(f"wrote {script_path}")
+        print(f"wrote {path}.gnuplot")
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +366,8 @@ def _report_props(results: list, seed: int, opts: dict) -> int:
         [{"name": r.name, "passed": int(r.passed), "detail": r.detail} for r in results],
         seed, 0, "none",
     )
-    if opts["out_explicit"]:
-        write_table(table, opts["out"], opts["format"])
-        print(f"wrote {opts['out']} ({len(table.rows)} rows)")
+    if opts["out"] is not None:
+        _emit(table, {**opts, "emit_plot": False})  # props has no plot
     failed = [r for r in results if not r.passed]
     if failed:
         print(f"{len(failed)} property violation(s)", file=sys.stderr)
@@ -390,14 +382,11 @@ def run_cli(argv) -> int:
         if ns.command is None:
             raise _UsageError("a subcommand is required (table1, gain, cdf, ber, condratio, props)")
         kwargs, opts = _resolve_options(ns.command, ns)
-    except _UsageError as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help/--version
         return int(exc.code or 0)
-    except (ValueError, OSError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     try:
         result = globals()[_COMMANDS[ns.command][0]](**kwargs)
         if ns.command == "props":

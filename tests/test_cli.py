@@ -114,10 +114,19 @@ class TestExitCodes:
             ["gain", "--snr=-4000"],
             ["gain", "--snr=-inf"],
             ["ber", "--snr", "0,nan"],
+            ["table1", "--trials", "0"],
+            ["table1", "--dims", "1"],
+            ["gain", "--workers", "0"],
+            ["cdf", "--seed", "-1"],
+            ["ber", "--sigma-min", "-1"],
+            ["condratio", "--cond", "0.5"],
         ],
-        ids=["ber-4000", "condratio-minus-4000", "gain-minus-4000", "gain-minus-inf", "ber-nan"],
+        ids=["ber-4000", "condratio-minus-4000", "gain-minus-4000", "gain-minus-inf", "ber-nan",
+             "trials-0", "dims-1", "workers-0", "seed-minus-1", "sigma-min-minus-1", "cond-0.5"],
     )
     def test_snr_without_a_noise_variance_fails_fast(self, argv, capsys, tmp_path, monkeypatch):
+        # like these SNRs, every value that parses but that a runner rejects
+        # is a runtime error, not a usage error, and no block runs
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(experiments, "_run_blocks", lambda *a: pytest.fail("a block ran"))
         assert run(argv) == 2
@@ -217,6 +226,35 @@ class TestJsonOutput:
         for key in ("detector", "snr_db", "ber", "bit_errors", "bits"):
             assert key in payload["rows"][0]
 
+    @pytest.mark.parametrize(
+        "argv, row_snr",
+        [
+            (["gain", "--dims", "2", "--snr", "inf", "--trials", "10"], "inf"),
+            (["ber", "--n", "2", "--snr", "inf", "--trials", "10"], "inf"),
+            (["condratio", "--snr", "inf"], None),
+        ],
+        ids=["gain", "ber", "condratio"],
+    )
+    def test_infinite_snr(self, argv, row_snr, tmp_path, monkeypatch, capsys):
+        # infinities land as the string marker, in the rows and in metadata
+        # lists and values alike (condratio's SNR is metadata only)
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, "--format", "json", "--out", "inf.json"]) == 0
+        payload = json.loads((tmp_path / "inf.json").read_text(), parse_constant=lambda _: 1 / 0)
+        snr = payload["metadata"].get("snr_grid_db", payload["metadata"].get("snr_db"))
+        assert snr in (["inf"], "inf")
+        assert {row.get("snr_db") for row in payload["rows"]} == {row_snr}
+
+    def test_failed_render_leaves_no_file_and_keeps_an_old_one(self, tmp_path):
+        table = _result_table("fake", [{"x": object()}], 0, 1, "none")
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        old.write_text("previous table\n")
+        for path in (new, old):
+            with pytest.raises(TypeError):
+                cli.write_json(table, str(path))
+        assert not new.exists()
+        assert old.read_text() == "previous table\n"
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, monkeypatch):
@@ -256,6 +294,23 @@ class TestPlotEmission:
         assert '"cr.csv"' in script
         assert "plot" in script
 
+    def test_clauses_find_columns_by_name(self):
+        rows = [{"mean_gain_db": 1.0, "n": n, "snr_db": 0.0} for n in (4, 2, 4)]
+        script = cli._plot_script(_result_table("gain", rows, 0, 1, "none"), "out/g.csv")
+        assert script.splitlines()[-2:] == [
+            'plot "g.csv" skip 1 using ($2==2 ? $3 : 1/0):1 with linespoints title "N=2", \\',
+            '     "g.csv" skip 1 using ($2==4 ? $3 : 1/0):1 with linespoints title "N=4"',
+        ]
+
+    def test_plot_for_json_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # the script reads its table as CSV, so a JSON table gets none
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(experiments, "_run_blocks", lambda *a: pytest.fail("a block ran"))
+        assert run(["ber", "--trials", "10", "--format", "json", "--emit-plot"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
 
 class TestGainCommand:
     def test_runs_and_writes(self, tmp_path, monkeypatch, capsys):
@@ -294,6 +349,18 @@ class TestPropsCommand:
         assert "FAIL" not in out
         lines = (tmp_path / "props.csv").read_text().splitlines()
         assert lines[0] == "name,passed,detail"
+
+    def test_violation_exits_2_and_still_writes_the_table(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_property_suite", lambda **kw: [
+            PropertyResult("holds", True, "ok"), PropertyResult("broken", False, "worst 1.0"),
+        ])
+        assert run(["props", "--out", "props.csv"]) == 2
+        out, err = capsys.readouterr()
+        assert "FAIL broken: worst 1.0\n" in out
+        assert err == "1 property violation(s)\n"
+        lines = (tmp_path / "props.csv").read_text().splitlines()
+        assert lines[2:] == ["holds,1,ok", "broken,0,worst 1.0"]
 
 
 #: The defaults each subcommand runs with when no flag or config value is
