@@ -325,10 +325,9 @@ def _plot_script(table: ResultTable, csv_path: str) -> str:
     name = os.path.basename(csv_path)
     settings, clauses = _PLOTS[table.experiment]
     columns = {c: i for i, c in enumerate(table.columns, start=1)}
+    dims = sorted({row.get("n") for row in table.rows})
     using = [
-        clause.format(**columns, dim=n)
-        for clause in clauses
-        for n in (sorted({row["n"] for row in table.rows}) if "{dim}" in clause else [None])
+        c.format(**columns, dim=n) for c in clauses for n in (dims if "{dim}" in c else [None])
     ]
     lines = [
         f"# gnuplot script for {name}",
