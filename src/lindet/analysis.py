@@ -120,12 +120,11 @@ def cond_ratio_exact(h, noise: NoiseModel) -> CondRatioReport:
     and fills in :func:`cond_ratio_approx` evaluated at the channel's
     extreme singular values.
     """
-    m = _guarded_channel(h, 0.0)
+    m, s = _guarded_channel(h, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond_zf, cond_mmse = _filter_conds(m[None], noise.variance)[:, 0].tolist()
     if not cond_mmse * linalg.SINGULARITY_RTOL < 1.0:  # the Gram guard bounds cond_zf
         raise SingularMatrixError("condition number undefined for a singular MMSE filter")
-    s = linalg.singular_values(m)
     return CondRatioReport(
         exact_ratio=cond_mmse / cond_zf,
         approx_ratio=cond_ratio_approx(float(s[0]), float(s[-1]), noise),

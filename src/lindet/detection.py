@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .channel import NoiseModel
-from .exceptions import DimensionError
+from .exceptions import DimensionError, SingularMatrixError
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -98,16 +98,28 @@ def mmse_filter(h, noise: NoiseModel) -> FilterMatrix:
     Regularizes the Gram matrix with the noise variance; at zero variance
     it coincides with :func:`zf_filter`.
     """
-    m = _guarded_channel(h, noise.variance)
+    m, _ = _guarded_channel(h, noise.variance)
     w = _filters(m[None], noise.variance)[0][0]
     return FilterMatrix(kind="mmse", noise_variance=noise.variance, matrix=w)
 
 
-def _guarded_channel(h, variance: float) -> np.ndarray:
-    """Square finite channel whose ``H^H H + variance I`` passes the singularity guard."""
+def _guarded_channel(h, variance: float) -> tuple[np.ndarray, np.ndarray]:
+    """Square finite channel and its singular values, if ``H^H H + variance I`` is nonsingular.
+
+    That matrix has the singular values ``s_i^2 + variance``: singular means
+    the smallest is at most ``SINGULARITY_RTOL`` times the largest.
+    """
     m = linalg._require_square(h, "channel")
-    linalg._nonsingular(linalg.gram(m) + variance * np.eye(len(m)), "Gram matrix is singular")
-    return m
+    s = np.linalg.svd(m, compute_uv=False)
+    s1, sn = float(s[0]), float(s[-1])
+    smax, smin = s1 * s1 + variance, sn * sn + variance
+    if smin <= linalg.SINGULARITY_RTOL * smax:
+        raise SingularMatrixError(
+            f"Gram matrix is singular (sigma_min={smin:.3e}, sigma_max={smax:.3e})",
+            sigma_min=smin,
+            sigma_max=smax,
+        )
+    return m, s
 
 
 def _filters(h: np.ndarray, *variances) -> list[np.ndarray]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimensionError, SingularMatrixError
+from .exceptions import DimensionError
 
 #: A matrix is treated as numerically singular when its smallest singular
 #: value is at or below this fraction of its largest one.  The value keeps
@@ -72,19 +72,3 @@ def gram(a) -> np.ndarray:
     """Gram matrix ``a^H a`` (Hermitian positive semidefinite)."""
     m = as_complex_matrix(a)
     return m.conj().T @ m
-
-
-def _nonsingular(a, message: str) -> None:
-    """Raise :class:`~lindet.exceptions.SingularMatrixError` if square ``a`` is singular.
-
-    Singular means ``sigma_min <= SINGULARITY_RTOL * sigma_max``; the error
-    carries ``message`` and both extreme singular values.
-    """
-    s = np.linalg.svd(_require_square(a), compute_uv=False)
-    smax, smin = float(s[0]), float(s[-1])
-    if smin <= SINGULARITY_RTOL * smax:
-        raise SingularMatrixError(
-            f"{message} (sigma_min={smin:.3e}, sigma_max={smax:.3e})",
-            sigma_min=smin,
-            sigma_max=smax,
-        )

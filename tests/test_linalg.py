@@ -60,7 +60,8 @@ class TestGram:
 
 class TestInverse:
     """The ZF filter of a square channel is its inverse, behind the singularity
-    guard that ``linalg._nonsingular`` applies to the Gram matrix ``H^H H``."""
+    guard that ``detection._guarded_channel`` applies to the Gram matrix
+    ``H^H H`` through the channel's singular values."""
 
     def test_identity(self):
         np.testing.assert_allclose(detection.zf_filter(np.eye(3)).matrix, np.eye(3))
