@@ -107,13 +107,14 @@ def _guarded_channel(h, variance: float) -> tuple[np.ndarray, np.ndarray]:
     """Square finite channel and its singular values, if ``H^H H + variance I`` is nonsingular.
 
     That matrix has the singular values ``s_i^2 + variance``: singular means
-    the smallest is at most ``SINGULARITY_RTOL`` times the largest.
+    the smallest is at most ``SINGULARITY_RTOL`` times the largest, or is
+    not a normal float, or the largest overflows.
     """
     m = linalg._require_square(h, "channel")
     s = np.linalg.svd(m, compute_uv=False)
     s1, sn = float(s[0]), float(s[-1])
     smax, smin = s1 * s1 + variance, sn * sn + variance
-    if smin <= linalg.SINGULARITY_RTOL * smax:
+    if smin < np.finfo(float).tiny or smin <= linalg.SINGULARITY_RTOL * smax:
         raise SingularMatrixError(
             f"Gram matrix is singular (sigma_min={smin:.3e}, sigma_max={smax:.3e})",
             sigma_min=smin,

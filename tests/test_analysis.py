@@ -152,6 +152,27 @@ class TestCondRatioExact:
             analysis.cond_ratio_exact(h, NoiseModel(1e300))
 
 
+class TestGuardScaleLimits:
+    """The guard of the public filters rejects a channel whose Gram spectrum
+    ``s_i^2`` leaves the normal floats, and keeps every scale inside."""
+
+    H0 = np.array([[1.0, 0.3], [0.2, 0.9]])  # cond 1.732, s_i^2 = 1.455 and 0.485
+
+    @pytest.mark.parametrize("scale", [1e-161, 1e-158, 1e-156, 1e-154, 1e155, 1e160])
+    def test_gram_spectrum_out_of_range_raises(self, scale):
+        with pytest.raises(SingularMatrixError):
+            detection.zf_filter(scale * self.H0)
+        with pytest.raises(SingularMatrixError):
+            analysis.cond_ratio_exact(scale * self.H0, NoiseModel(0.1))
+
+    @pytest.mark.parametrize("scale", [1e-153, 1e-150, 1.0, 1e150, 1e153])
+    def test_scales_in_range_are_exact(self, scale):
+        h = scale * self.H0
+        np.testing.assert_allclose(detection.zf_filter(h).matrix @ h, np.eye(2), atol=1e-14)
+        report = analysis.cond_ratio_exact(h, NoiseModel(0.1))
+        assert report.cond_w_zf == pytest.approx(np.linalg.cond(self.H0), rel=1e-12)
+
+
 class TestSnrZf:
     def test_orthogonal_channel(self):
         # Equal spectrum sigma_i^2 = N: SNR is N / variance
