@@ -133,13 +133,17 @@ def normalize(h) -> ChannelRealization:
     Raises
     ------
     DegenerateInputError
-        If ``h`` has zero Frobenius norm (is all zero or underflows).
+        If the squared Frobenius norm of ``h`` is zero or not a finite
+        normal float: it underflows or overflows.
     """
     m = linalg._require_square(h, "channel")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = _normalized(m)
-    if not np.all(np.isfinite(scaled)):
-        raise DegenerateInputError("cannot normalize a channel whose Frobenius norm is zero")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m, axis=(-2, -1)))
+    if not np.finfo(float).tiny <= norm * norm < math.inf:
+        raise DegenerateInputError(
+            "cannot normalize a channel whose squared Frobenius norm is zero or not a normal float"
+        )
+    scaled = _normalized(m)
     spectrum = linalg.singular_values(scaled)
     return ChannelRealization(matrix=scaled, spectrum=spectrum, provenance="normalized")
 

@@ -192,6 +192,18 @@ class TestNormalize:
             with pytest.raises(DegenerateInputError):
                 channel.normalize(h)
 
+    H0 = np.array([[1.0, 0.3], [0.2, 0.9]])  # squared Frobenius norm 1.94
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e154, 1e160, 1e200])
+    def test_rejects_a_squared_norm_outside_the_normal_floats(self, scale):
+        with pytest.raises(DegenerateInputError):
+            channel.normalize(scale * self.H0)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_extreme_scales_inside_the_normal_floats(self, scale):
+        real = channel.normalize(scale * self.H0)
+        assert float(np.sum(real.spectrum**2)) == pytest.approx(4.0, abs=1e-12)
+
     def test_equals_the_runners_normalization(self):
         g = RngStream(22).generator()
         for n in (2, 3, 4, 8):
