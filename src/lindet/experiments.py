@@ -223,7 +223,10 @@ def _mean_se(count: int, total: float, total_sq: float) -> tuple[float, float]:
 
 def _check_run(dims, trials: int, master_seed: int, workers: int) -> tuple[int, ...]:
     """The checks every runner shares; returns ``dims`` as integers."""
-    dims = tuple(int(n) for n in dims)
+    given = tuple(dims)
+    dims = tuple(int(n) for n in given)
+    if dims != given:
+        raise ValueError(f"dims must be integers, got {given}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not dims or any(n < 2 for n in dims):
@@ -463,7 +466,7 @@ def run_ber_sweep(
     kernel, checks and per-trial ``max_attempts`` of
     :func:`lindet.channel.sample_floored`; the checks run before any block.
     """
-    _check_run((n,), trials, master_seed, workers)
+    (n,) = _check_run((n,), trials, master_seed, workers)
     snr_grid_db = tuple(float(s) for s in snr_grid_db)
     if not snr_grid_db:
         raise ValueError("snr_grid_db must be nonempty")
@@ -526,7 +529,7 @@ def run_cond_ratio_sweep(
     ratio depends only on the prescribed spectrum endpoints and is reported
     alongside the Monte Carlo mean of the exact ratio.
     """
-    _check_run((n,), trials, master_seed, workers)
+    (n,) = _check_run((n,), trials, master_seed, workers)
     cond_target, sigma_min_grid = _check_spectrum(cond_target, sigma_min_grid)
     noise = noise_var_from_inverse_snr(snr_db)
     rows = []
