@@ -90,7 +90,7 @@ class RngStream:
 class ChannelRealization:
     """A sampled channel together with its cached singular spectrum.
 
-    ``provenance`` records how the matrix was produced: ``"raw"``,
+    ``provenance`` records how the matrix was produced:
     ``"normalized"`` (squared Frobenius norm equals N^2), ``"floored"``
     (normalized, with smallest singular value at least ``sigma_min``), or
     ``"synthesized"`` (prescribed spectrum; not Frobenius-normalized).
