@@ -224,9 +224,9 @@ def _mean_se(count: int, total: float, total_sq: float) -> tuple[float, float]:
 def _check_run(dims, trials: int, master_seed: int, workers: int) -> tuple[int, ...]:
     """The checks every runner shares; returns ``dims`` as integers."""
     given = tuple(dims)
-    dims = tuple(int(n) for n in given)
-    if dims != given:
+    if not all(float(n).is_integer() for n in given):
         raise ValueError(f"dims must be integers, got {given}")
+    dims = tuple(int(n) for n in given)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not dims or any(n < 2 for n in dims):

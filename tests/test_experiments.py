@@ -103,11 +103,12 @@ class TestRunnerChecks:
         with pytest.raises(ValueError):
             runner(**small, trials=1)
 
+    @pytest.mark.parametrize("value", [4.5, math.inf])
     @pytest.mark.parametrize("runner", _ALL_RUNNERS, ids=_name)
-    def test_rejects_non_integral_dims(self, runner):
-        fractional = {"dims": (4, 2.7)} if runner in _DIMS_RUNNERS else {"n": 4.5}
+    def test_rejects_non_integral_dims(self, runner, value):
+        bad = {"dims": (4, value)} if runner in _DIMS_RUNNERS else {"n": value}
         with pytest.raises(ValueError, match="integers"):
-            runner(**fractional, trials=1)
+            runner(**bad, trials=1)
 
     @pytest.mark.parametrize("runner", _DIMS_RUNNERS, ids=_name)
     def test_rejects_empty_dims(self, runner):
