@@ -10,9 +10,12 @@ stacks ``(count, n, n)``, with one check of its inputs: the public
 functions use stacks of one and the runners of :mod:`lindet.experiments`
 whole blocks, so both give the same bits from the same draws.  Runners
 that need only the singular values of Gaussian channels draw them from
-the bidiagonal model of the same ensemble (:func:`_gaussian_spectra`),
+the bidiagonal model of the same ensemble (:func:`_gaussian_bidiagonal`),
 which has the same law as decomposing a dense draw at a fraction of the
-work and memory; it does not give the same bits.
+work and memory; it does not give the same bits.  The table1 and gain
+runners decompose the bidiagonal (:func:`_gaussian_spectra`); the cdf
+runner only asks whether sigma_min is strictly below each grid point and
+answers from Sturm counts, without decomposing (:func:`_sigma_min_below`).
 
 All sampling routines are pure functions of an :class:`RngStream` value, so
 identical streams reproduce identical draws regardless of process or worker
@@ -202,30 +205,84 @@ def _normalized_draw(g: np.random.Generator, count: int, n: int):
     return h, np.linalg.svd(h, compute_uv=False)
 
 
-def _gaussian_spectra(
-    g: np.random.Generator, count: int, n: int, beta: int, normalized: bool = True
-) -> np.ndarray:
-    """Descending singular values ``(count, n)`` of ``n x n`` Gaussian matrices.
+def _gaussian_bidiagonal(g: np.random.Generator, count: int, n: int, beta: int):
+    """Diagonals ``d (count, n)`` and superdiagonals ``e (count, n - 1)`` of B.
 
     ``beta = 1`` is the real ensemble with N(0, 1) entries and ``beta = 2``
-    the complex one with CN(0, 1) entries; ``normalized`` rescales each
-    realization to squared Frobenius norm N^2.  Such a matrix has the
-    singular values of an upper bidiagonal matrix B with independent
-    entries, diagonal ``chi_{beta (n - i)} / sqrt(beta)`` and superdiagonal
-    ``chi_{beta (n - 1 - i)} / sqrt(beta)`` (Dumitriu & Edelman 2002), and
-    the same Frobenius norm, so B is drawn, rescaled and decomposed
-    instead: all diagonals first, then all superdiagonals.  LAPACK returns
-    a bidiagonal's singular values to high relative accuracy (Demmel &
-    Kahan 1990), the smallest included.
+    the complex one with CN(0, 1) entries.  Such an ``n x n`` matrix has the
+    singular values and the Frobenius norm of an upper bidiagonal matrix B
+    with independent entries, diagonal ``chi_{beta (n - i)} / sqrt(beta)``
+    and superdiagonal ``chi_{beta (n - 1 - i)} / sqrt(beta)`` (Dumitriu &
+    Edelman 2002): all diagonals are drawn first, then all superdiagonals.
     """
     i = np.arange(n)
-    j = i[:-1]
+    d = np.sqrt(g.chisquare(beta * (n - i), size=(count, n)) / beta)
+    e = np.sqrt(g.chisquare(beta * (n - 1 - i[:-1]), size=(count, n - 1)) / beta)
+    return d, e
+
+
+def _gaussian_spectra(g: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """Descending singular values ``(count, n)`` of normalized CN(0, 1) channels.
+
+    The complex B of :func:`_gaussian_bidiagonal` is drawn, rescaled to
+    squared Frobenius norm N^2 and decomposed.  LAPACK returns a
+    bidiagonal's singular values to high relative accuracy (Demmel & Kahan
+    1990), the smallest included.
+    """
+    d, e = _gaussian_bidiagonal(g, count, n, 2)
+    i = np.arange(n)
     b = np.zeros((count, n, n))
-    b[:, i, i] = np.sqrt(g.chisquare(beta * (n - i), size=(count, n)) / beta)
-    b[:, j, j + 1] = np.sqrt(g.chisquare(beta * (n - 1 - j), size=(count, n - 1)) / beta)
-    if normalized:
-        b = _normalized(b)
-    return np.linalg.svd(b, compute_uv=False)
+    b[:, i, i] = d
+    b[:, i[:-1], i[1:]] = e
+    return np.linalg.svd(_normalized(b), compute_uv=False)
+
+
+def _sigma_min_below(d: np.ndarray, e: np.ndarray, grid) -> np.ndarray:
+    """Booleans ``(count, len(grid))``: is the smallest singular value of B below x?
+
+    B is upper bidiagonal with diagonals ``d (count, n)`` and superdiagonals
+    ``e (count, n - 1)``.  Its Golub-Kahan form, the ``2n x 2n`` tridiagonal
+    with zero diagonal and off-diagonals ``(d_1, e_1, d_2, ..., d_n)``, has
+    eigenvalues ``+-sigma_i``, so for x > 0 some ``sigma_i < x`` exactly
+    when more than n of its eigenvalues lie below x: more than n positive
+    pivots of ``xI - T``.  Each trial bisects over the sorted positive grid
+    points with one such Sturm count per probe, which decides to high
+    relative accuracy (Demmel & Kahan 1990) without decomposing B.  A pivot
+    within ``pivmin`` of zero is replaced by ``pivmin`` as in LAPACK's
+    ``dlaebz``.  No singular value is below an ``x <= 0`` or a NaN.
+    """
+    count, n = d.shape
+    c2 = np.empty((2 * n - 1, count))
+    c2[0::2] = (d * d).T
+    c2[1::2] = (e * e).T
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, c2.max(axis=0))
+    grid = np.asarray(grid, dtype=float)
+    xs = np.unique(grid[grid > 0.0])
+    # Trial t is below xs[j] exactly for j >= lo[t]; bisect on lo in [0, xs.size].
+    lo = np.zeros(count, dtype=np.intp)
+    hi = np.full(count, xs.size, dtype=np.intp)
+    positive = np.empty(c2.shape, dtype=bool)
+    p = np.empty(count)
+    t = np.empty(count)
+    small = np.empty(count, dtype=bool)
+    for _ in range(xs.size.bit_length()):
+        mid = (lo + hi) // 2
+        x = xs[np.minimum(mid, xs.size - 1)]
+        # p is minus the pivot of T - xI; the first one, x, is positive.
+        np.maximum(x, pivmin, out=p)
+        # A quotient may underflow and a pivot overflow to inf; no sign changes.
+        with np.errstate(over="ignore", under="ignore"):
+            for k, ck in enumerate(c2):
+                np.divide(ck, p, out=t)
+                np.subtract(x, t, out=p)
+                np.less(np.abs(p, out=t), pivmin, out=small)
+                if small.any():
+                    p[small] = pivmin[small]
+                np.greater(p, 0.0, out=positive[k])
+        below = np.count_nonzero(positive, axis=0) >= n
+        hi = np.where(below, mid, hi)
+        lo = np.where(below | (lo == hi), lo, mid + 1)
+    return (grid > 0.0) & (np.searchsorted(xs, grid) >= lo[:, None])
 
 
 def _floored_stack(g: np.random.Generator, count: int, n: int, floor: float, max_attempts: int):

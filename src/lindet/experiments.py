@@ -17,9 +17,15 @@ maths comes from :mod:`lindet.channel`, :mod:`lindet.detection` and
 
 Stream layout 2 (``STREAM_LAYOUT``, recorded in every table): the
 table1, gain and cdf runners read only singular values, so their blocks
-draw spectra from the bidiagonal Gaussian model
-(:func:`lindet.channel._gaussian_spectra`); the BER and condition-ratio
-runners draw channel matrices.
+draw the bidiagonal Gaussian model
+(:func:`lindet.channel._gaussian_bidiagonal`); the BER and
+condition-ratio runners draw channel matrices.  table1 and gain decompose
+each bidiagonal.  cdf does not: a cdf row counts the trials whose
+sigma_min is strictly below its grid point, decided by Sturm counts
+(:func:`lindet.channel._sigma_min_below`), and a tail row counts the
+complement.  An SVD comparison ``sigma_min <= x`` differs only where
+sigma_min equals x, which has probability zero, so it gives the same
+counts.
 
 Two receive-SNR conventions coexist and are recorded per table:
 
@@ -33,6 +39,7 @@ Two receive-SNR conventions coexist and are recorded per table:
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -56,8 +63,10 @@ from .channel import (
     _check_spectrum,
     _cn_noise,
     _floored_stack,
+    _gaussian_bidiagonal,
     _gaussian_spectra,
     _normalized,
+    _sigma_min_below,
     _spectrum_profile,
     _synthesized_stack,
     complex_gaussian,
@@ -221,12 +230,25 @@ def _mean_se(count: int, total: float, total_sq: float) -> tuple[float, float]:
     return mean, math.sqrt(var / count)
 
 
-def _check_run(dims, trials: int, master_seed: int, workers: int) -> tuple[int, ...]:
-    """The checks every runner shares; returns ``dims`` as integers."""
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; integral floats pass, other non-integers are a ValueError."""
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_run(dims, trials: int, master_seed: int, workers: int):
+    """The checks every runner shares, made before any block runs.
+
+    Returns ``dims``, ``trials``, ``master_seed`` and ``workers`` as integers.
+    """
     given = tuple(dims)
     if not all(float(n).is_integer() for n in given):
         raise ValueError(f"dims must be integers, got {given}")
     dims = tuple(int(n) for n in given)
+    trials = _integer("trials", trials)
+    master_seed = _integer("master_seed", master_seed)
+    workers = _integer("workers", workers)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not dims or any(n < 2 for n in dims):
@@ -235,7 +257,7 @@ def _check_run(dims, trials: int, master_seed: int, workers: int) -> tuple[int, 
         raise ValueError("master_seed must be nonnegative")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return dims
+    return dims, trials, master_seed, workers
 
 
 def _result_table(
@@ -272,7 +294,7 @@ def _result_table(
 
 
 def _table1_block(g, n, count):
-    s = _gaussian_spectra(g, count, n, 2)
+    s = _gaussian_spectra(g, count, n)
     return s[:, -1], s[:, 0] / s[:, -1]
 
 
@@ -288,7 +310,7 @@ def run_table1(
     ``dims``.  Standard errors capture Monte Carlo noise and should only be
     trusted for trial counts of roughly a thousand or more.
     """
-    dims = _check_run(dims, trials, master_seed, workers)
+    dims, trials, master_seed, workers = _check_run(dims, trials, master_seed, workers)
     rows = []
     for n in dims:
         smin, cond = _reduce(_table1_block, master_seed, (_TAG_TABLE1, n), (n,), trials, workers)
@@ -312,7 +334,7 @@ def run_table1(
 
 
 def _gain_block(g, n, variance, count):
-    s = _gaussian_spectra(g, count, n, 2)
+    s = _gaussian_spectra(g, count, n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         numerator, denominator = _mmse_snr_terms(s, variance)
         gain = _gain_db(numerator / denominator, _zf_snr(s, variance))
@@ -333,7 +355,7 @@ def run_gain_sweep(
     report how many realizations produced non-finite gains and were
     excluded.
     """
-    dims = _check_run(dims, trials, master_seed, workers)
+    dims, trials, master_seed, workers = _check_run(dims, trials, master_seed, workers)
     snr_grid_db = tuple(float(s) for s in snr_grid_db)
     if not snr_grid_db:
         raise ValueError("snr_grid_db must be nonempty")
@@ -366,15 +388,18 @@ def run_gain_sweep(
 
 
 def _cdf_block(g, n, grid, count):
-    smin = _gaussian_spectra(g, count, n, 2)[:, -1]
-    return (smin[:, None] <= np.asarray(grid)[None, :],)
+    d, e = _gaussian_bidiagonal(g, count, n, 2)
+    # B scaled to squared Frobenius norm N^2, which bidiagonalization keeps.
+    scale = (n / np.sqrt(np.sum(d * d, axis=1) + np.sum(e * e, axis=1)))[:, None]
+    return (_sigma_min_below(d * scale, e * scale, grid),)
 
 
 def _edelman_block(g, n, tail_grid, count):
     # Real Gaussian entries with variance 1/n: the ensemble whose scaled
-    # minimum singular value has the exp(-x - x^2/2) limit law.
-    scaled = math.sqrt(n) * _gaussian_spectra(g, count, n, 1, normalized=False)[:, -1]
-    return (scaled[:, None] >= np.asarray(tail_grid)[None, :],)
+    # minimum singular value has the exp(-x - x^2/2) limit law.  With
+    # N(0, 1) entries instead, N sigma_min >= x is sigma_min >= x / sqrt(N).
+    d, e = _gaussian_bidiagonal(g, count, n, 1)
+    return (~_sigma_min_below(d, e, np.asarray(tail_grid) / math.sqrt(n)),)
 
 
 def run_min_singular_cdf(
@@ -387,18 +412,22 @@ def run_min_singular_cdf(
 ) -> ResultTable:
     """Empirical minimum-singular-value CDFs, plus the scaled tail law.
 
-    Produces ``statistic == "cdf_sigma_min"`` rows with the empirical CDF of
-    the smallest singular value of normalized channels for each ``N`` in
-    ``dims``, and ``statistic == "tail_scaled_sigma_min"`` rows for the
-    largest ``N``: the empirical ``P[N * sigma_min >= x]`` over unnormalized
-    real Gaussian matrices (entry variance ``1/N``) next to the asymptotic
-    reference ``exp(-x - x^2/2)``.
+    Produces ``statistic == "cdf_sigma_min"`` rows with the empirical CDF
+    ``P[sigma_min < x]`` of the smallest singular value of normalized
+    channels for each ``N`` in ``dims``, and ``statistic ==
+    "tail_scaled_sigma_min"`` rows for the largest ``N``: the empirical
+    ``P[N * sigma_min >= x]`` over unnormalized real Gaussian matrices
+    (entry variance ``1/N``) next to the asymptotic reference
+    ``exp(-x - x^2/2)``.  Grid points may be in any order and must not be
+    NaN.
     """
-    dims = _check_run(dims, trials, master_seed, workers)
+    dims, trials, master_seed, workers = _check_run(dims, trials, master_seed, workers)
     grid = tuple(float(x) for x in grid)
     tail_grid = tuple(float(x) for x in tail_grid)
     if not grid or not tail_grid:
         raise ValueError("grid and tail_grid must be nonempty")
+    if any(math.isnan(x) for x in grid + tail_grid):
+        raise ValueError("grid and tail_grid must not contain NaN")
     sweeps = [("cdf_sigma_min", n, grid, _cdf_block, _TAG_CDF, None) for n in dims]
     sweeps.append(
         ("tail_scaled_sigma_min", max(dims), tail_grid, _edelman_block, _TAG_EDELMAN, edelman_tail)
@@ -466,7 +495,7 @@ def run_ber_sweep(
     kernel, checks and per-trial ``max_attempts`` of
     :func:`lindet.channel.sample_floored`; the checks run before any block.
     """
-    (n,) = _check_run((n,), trials, master_seed, workers)
+    (n,), trials, master_seed, workers = _check_run((n,), trials, master_seed, workers)
     snr_grid_db = tuple(float(s) for s in snr_grid_db)
     if not snr_grid_db:
         raise ValueError("snr_grid_db must be nonempty")
@@ -529,7 +558,7 @@ def run_cond_ratio_sweep(
     ratio depends only on the prescribed spectrum endpoints and is reported
     alongside the Monte Carlo mean of the exact ratio.
     """
-    (n,) = _check_run((n,), trials, master_seed, workers)
+    (n,), trials, master_seed, workers = _check_run((n,), trials, master_seed, workers)
     cond_target, sigma_min_grid = _check_spectrum(cond_target, sigma_min_grid)
     noise = noise_var_from_inverse_snr(snr_db)
     rows = []

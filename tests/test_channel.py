@@ -111,30 +111,48 @@ def _dense_spectra(g, count, n, beta):
     return np.linalg.svd(g.standard_normal((count, n, n)), compute_uv=False)
 
 
+def _bidiagonal(d, e):
+    """Dense upper bidiagonal stack ``(count, n, n)`` with diagonals d and superdiagonals e."""
+    count, n = d.shape
+    i = np.arange(n)
+    b = np.zeros((count, n, n))
+    b[:, i, i] = d
+    b[:, i[:-1], i[1:]] = e
+    return b
+
+
+def _bidiagonal_spectra(g, count, n, beta, normalized=True):
+    """Spectra of the bidiagonal model, decomposed densely: the reference."""
+    b = _bidiagonal(*channel._gaussian_bidiagonal(g, count, n, beta))
+    return np.linalg.svd(channel._normalized(b) if normalized else b, compute_uv=False)
+
+
 class TestGaussianSpectra:
     @pytest.mark.parametrize("n", [2, 4, 12, 64])
     def test_descending_positive_and_normalized(self, n):
-        s = channel._gaussian_spectra(RngStream(n).generator(), 300, n, 2)
+        s = channel._gaussian_spectra(RngStream(n).generator(), 300, n)
         assert s.shape == (300, n)
         assert np.all(s[:, -1] > 0.0) and np.all(np.diff(s, axis=1) <= 0.0)
         assert np.max(np.abs(np.sum(s * s, axis=1) - n * n)) <= 1e-12 * n * n
+        np.testing.assert_array_equal(s, _bidiagonal_spectra(RngStream(n).generator(), 300, n, 2))
 
     @pytest.mark.parametrize("beta", [1, 2])
     def test_unnormalized_entries_have_unit_variance(self, beta):
         # sum(s^2) = ||H||_F^2 is chi^2 with beta n^2 degrees of freedom over
         # beta: mean n^2, sd n sqrt(2 / beta); 4000 draws pin the mean to 1%.
-        s = channel._gaussian_spectra(RngStream(30 + beta).generator(), 4000, 6, beta, normalized=False)
-        assert np.mean(np.sum(s * s, axis=1)) == pytest.approx(36.0, rel=0.01)
+        d, e = channel._gaussian_bidiagonal(RngStream(30 + beta).generator(), 4000, 6, beta)
+        assert d.shape == (4000, 6) and e.shape == (4000, 5)
+        assert np.mean(np.sum(d * d, axis=1) + np.sum(e * e, axis=1)) == pytest.approx(36.0, rel=0.01)
 
     def test_same_generator_state_same_spectra(self):
-        a = channel._gaussian_spectra(RngStream(5, (1,)).generator(), 50, 8, 2)
-        b = channel._gaussian_spectra(RngStream(5, (1,)).generator(), 50, 8, 2)
+        a = channel._gaussian_spectra(RngStream(5, (1,)).generator(), 50, 8)
+        b = channel._gaussian_spectra(RngStream(5, (1,)).generator(), 50, 8)
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("n", [4, 12])
     def test_complex_law_matches_dense_draws(self, n):
         m = 20000
-        s = channel._gaussian_spectra(RngStream(1, (n,)).generator(), m, n, 2)
+        s = channel._gaussian_spectra(RngStream(1, (n,)).generator(), m, n)
         d = _dense_spectra(RngStream(2, (n,)).generator(), m, n, 2)
         critical = _ks_critical(m, m)
         assert _ks(s[:, -1], d[:, -1]) <= critical
@@ -142,7 +160,7 @@ class TestGaussianSpectra:
 
     def test_real_law_matches_dense_draws(self):
         m = 20000
-        s = channel._gaussian_spectra(RngStream(1, (8,)).generator(), m, 8, 1, normalized=False)
+        s = _bidiagonal_spectra(RngStream(1, (8,)).generator(), m, 8, 1, normalized=False)
         d = _dense_spectra(RngStream(2, (8,)).generator(), m, 8, 1)
         assert _ks(s[:, -1], d[:, -1]) <= _ks_critical(m, m)
 
@@ -150,17 +168,91 @@ class TestGaussianSpectra:
         # The check above has power: at 4x4 the real and complex normalized
         # ensembles are told apart at the same sample size.
         m = 20000
-        real = channel._gaussian_spectra(RngStream(3).generator(), m, 4, 1)
+        real = _bidiagonal_spectra(RngStream(3).generator(), m, 4, 1)
         d = _dense_spectra(RngStream(2, (4,)).generator(), m, 4, 2)
         assert _ks(real[:, -1], d[:, -1]) > 5 * _ks_critical(m, m)
 
     def test_real_n64_scaled_tail(self):
         # P[N sigma_min >= x] for entries of variance 1/N, against
         # exp(-x - x^2/2) at the acceptance suite's tolerance.
-        s = channel._gaussian_spectra(RngStream(4).generator(), 8192, 64, 1, normalized=False)
+        s = _bidiagonal_spectra(RngStream(4).generator(), 8192, 64, 1, normalized=False)
         scaled = 8.0 * s[:, -1]
         for x in (0.5, 1.0, 2.0):
             assert abs(np.mean(scaled >= x) - math.exp(-x - x * x / 2)) <= 0.03
+
+
+def _svd_below(d, e, grid):
+    """The reference of ``_sigma_min_below``: some singular value of B below x."""
+    s = np.linalg.svd(_bidiagonal(d, e), compute_uv=False)
+    return np.array([[np.sum(row < x) > 0 for x in grid] for row in s])
+
+
+def _graded(g, count, n, decades):
+    """Bidiagonal entries spread log-uniformly over 10**-decades to 10**decades."""
+    d = 10.0 ** g.uniform(-decades, decades, size=(count, n))
+    e = 10.0 ** g.uniform(-decades, decades, size=(count, n - 1))
+    return d, e
+
+
+class TestSigmaMinBelow:
+    """The Sturm-count kernel gives the SVD's answer to "is sigma_min < x"."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_matches_svd_on_a_grid(self, n):
+        g = np.random.default_rng(n)
+        d, e = _graded(g, 200, n, 1)
+        grid = (0.7, 0.0, 1e-3, 0.05, -1.0, 0.3, 0.05, 2.0, 1e6, math.inf, 0.01)
+        np.testing.assert_array_equal(channel._sigma_min_below(d, e, grid), _svd_below(d, e, grid))
+
+    @pytest.mark.parametrize("n", [3, 8, 20])
+    def test_graded_entries_near_each_singular_value(self, n):
+        # Entries over 10^-8 .. 10^8; x just below and just above every
+        # singular value, 1e-9 relative away, probes each count exactly.
+        g = np.random.default_rng(100 + n)
+        d, e = _graded(g, 40, n, 8)
+        s = np.linalg.svd(_bidiagonal(d, e), compute_uv=False)
+        for k in range(40):
+            grid = np.concatenate([s[k] * (1 - 1e-9), s[k] * (1 + 1e-9)])
+            got = channel._sigma_min_below(d[k : k + 1], e[k : k + 1], grid)
+            np.testing.assert_array_equal(got, _svd_below(d[k : k + 1], e[k : k + 1], grid))
+            np.testing.assert_array_equal(got[0], grid > s[k, -1])
+
+    def test_exact_zeros(self):
+        g = np.random.default_rng(7)
+        d, e = _graded(g, 60, 6, 2)
+        d[0:20, 0] = 0.0
+        d[20:40, 5] = 0.0
+        e[20:60, 2] = 0.0
+        d[40:50, 3] = 0.0
+        e[50:60] = 0.0
+        grid = (0.0, 1e-300, 1e-12, 0.01, 0.1, 1.0, 10.0)
+        got = channel._sigma_min_below(d, e, grid)
+        np.testing.assert_array_equal(got, _svd_below(d, e, grid))
+        # A zero on the diagonal makes B singular: below every positive x.
+        assert np.all(got[:20, 1:]) and np.all(got[20:50, 1:])
+
+    def test_nothing_is_below_zero_or_nan(self):
+        d, e = _graded(np.random.default_rng(8), 30, 4, 1)
+        d[:10, 1] = 0.0
+        got = channel._sigma_min_below(d, e, (0.0, -0.0, -2.0, -math.inf, math.nan))
+        assert got.shape == (30, 5) and not got.any()
+
+    def test_raises_no_floating_point_warnings(self):
+        # Tier-1 turns warnings into errors; extreme grids must not warn.
+        d, e = _graded(np.random.default_rng(9), 30, 5, 8)
+        d[:5, 2] = 0.0
+        grid = (5e-324, 1e-300, 1e300, 1.7e308, math.inf)
+        with np.errstate(all="raise"):
+            got = channel._sigma_min_below(d, e, grid)
+        np.testing.assert_array_equal(got, _svd_below(d, e, grid))
+
+    def test_unsorted_grid_keeps_its_order(self):
+        d, e = _graded(np.random.default_rng(10), 50, 4, 1)
+        grid = np.array([0.5, 0.02, 3.0, 0.2, 0.02])
+        got = channel._sigma_min_below(d, e, grid)
+        order = np.argsort(grid)
+        np.testing.assert_array_equal(got[:, order], channel._sigma_min_below(d, e, grid[order]))
+        np.testing.assert_array_equal(got, _svd_below(d, e, grid))
 
 
 class TestNormalize:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lindet import analysis, experiments
+from lindet import analysis, channel, experiments
 from lindet.channel import RngStream
 from lindet.exceptions import DimensionError, SamplingExhaustedError
 from lindet.experiments import (
@@ -126,6 +126,21 @@ class TestRunnerChecks:
             runner(trials=1, workers=0)
 
     @pytest.mark.parametrize("runner", _ALL_RUNNERS, ids=_name)
+    def test_rejects_non_integral_trials(self, runner):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            runner(trials=2.5)
+
+    @pytest.mark.parametrize("runner", _ALL_RUNNERS, ids=_name)
+    def test_rejects_non_integral_seed(self, runner):
+        with pytest.raises(ValueError, match="master_seed must be an integer"):
+            runner(trials=1, master_seed=0.5)
+
+    @pytest.mark.parametrize("runner", _ALL_RUNNERS, ids=_name)
+    def test_rejects_non_integral_workers(self, runner):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            runner(trials=1, workers=1.5)
+
+    @pytest.mark.parametrize("runner", _ALL_RUNNERS, ids=_name)
     def test_rejects_negative_seed(self, runner):
         with pytest.raises(ValueError):
             runner(trials=1, master_seed=-1)
@@ -178,12 +193,24 @@ class TestRunnerChecks:
             lambda: run_cond_ratio_sweep(4, 15.0, [], trials=1),
             lambda: run_cond_ratio_sweep(4, 15.0, [0.1, 0.0], trials=1),
             lambda: run_min_singular_cdf([4], grid=(), trials=1),
+            lambda: run_min_singular_cdf([4], grid=(0.5, math.nan), trials=1),
+            lambda: run_min_singular_cdf([4], tail_grid=(math.nan,), trials=1),
         ],
-        ids=["ber-snr", "condratio-sigma-min", "condratio-nonpositive", "cdf-grid"],
+        ids=[
+            "ber-snr", "condratio-sigma-min", "condratio-nonpositive", "cdf-grid",
+            "cdf-grid-nan", "cdf-tail-grid-nan",
+        ],
     )
     def test_rejects_empty_or_bad_grids(self, call):
         with pytest.raises(ValueError):
             call()
+
+
+def test_integral_floats_count_as_integers():
+    exact = run_table1([2], trials=10, master_seed=3, workers=1)
+    floats = run_table1([2.0], trials=10.0, master_seed=3.0, workers=1.0)
+    assert floats.rows == exact.rows and floats.metadata == exact.metadata
+    assert type(floats.rows[0]["seed"]) is int and type(floats.rows[0]["trials"]) is int
 
 
 class TestRunTable1:
@@ -270,6 +297,35 @@ class TestRunMinSingularCdf:
     def test_deterministic(self, cdf_table):
         again = run_min_singular_cdf([2, 4], trials=4000, master_seed=9)
         assert again.rows == cdf_table.rows
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_counts_equal_an_svd_of_the_same_bidiagonals(self, n, seed):
+        # The runner counts by Sturm bisection; decompose the same draws
+        # densely and count sigma_min <= x (tail: N sigma_min >= x) instead.
+        trials = 2000
+        sizes = experiments._block_sizes(trials, experiments._block_matrices(n))
+        expected = []
+        for tag, beta, grid in (
+            (experiments._TAG_CDF, 2, experiments.DEFAULT_CDF_GRID),
+            (experiments._TAG_EDELMAN, 1, experiments.DEFAULT_TAIL_GRID),
+        ):
+            hits = np.zeros(len(grid), dtype=int)
+            for i, size in enumerate(sizes):
+                g = RngStream(seed, (tag, n, i)).generator()
+                d, e = channel._gaussian_bidiagonal(g, size, n, beta)
+                b = np.zeros((size, n, n))
+                b[:, np.arange(n), np.arange(n)] = d
+                b[:, np.arange(n - 1), np.arange(1, n)] = e
+                if beta == 2:
+                    smin = np.linalg.svd(channel._normalized(b), compute_uv=False)[:, -1]
+                    hits += np.sum(smin[:, None] <= np.asarray(grid), axis=0)
+                else:
+                    scaled = math.sqrt(n) * np.linalg.svd(b, compute_uv=False)[:, -1]
+                    hits += np.sum(scaled[:, None] >= np.asarray(grid), axis=0)
+            expected += [(x, int(k) / trials) for x, k in zip(grid, hits)]
+        rows = run_min_singular_cdf([n], trials=trials, master_seed=seed).rows
+        assert [(r["x"], r["value"]) for r in rows] == expected
 
 
 class TestRunBerSweep:
