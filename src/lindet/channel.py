@@ -229,12 +229,12 @@ def _gaussian_spectra(g: np.random.Generator, count: int, n: int) -> np.ndarray:
     bidiagonal's singular values to high relative accuracy (Demmel & Kahan
     1990), the smallest included.
     """
-    d, e = _gaussian_bidiagonal(g, count, n, 2)
     i = np.arange(n)
     b = np.zeros((count, n, n))
-    b[:, i, i] = d
-    b[:, i[:-1], i[1:]] = e
-    return np.linalg.svd(_normalized(b), compute_uv=False)
+    b[:, i, i], b[:, i[:-1], i[1:]] = _gaussian_bidiagonal(g, count, n, 2)
+    # Rebinding b frees the unscaled stack before the SVD.
+    b = _normalized(b)
+    return np.linalg.svd(b, compute_uv=False)
 
 
 def _sigma_min_below(d: np.ndarray, e: np.ndarray, grid) -> np.ndarray:
