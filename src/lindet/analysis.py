@@ -8,8 +8,10 @@ MMSE detection on a known channel spectrum:
   condition-number ratio ``(1 + v/s_1^2) / (1 + v/s_N^2)`` where ``v`` is
   the noise variance and ``s_1 >= s_N`` the extreme channel singular
   values.
-* Exact condition-number ratios obtained by building both filters and
-  taking SVDs.
+* Exact filter condition numbers from the channel's spectrum:
+  ``cond(W_zf) = s_1 / s_N`` and ``cond(W_mmse) = max f / min f`` with
+  ``f(s) = s / (s^2 + v)``, which makes the approximation exact for
+  ``s_N >= sqrt(v)``.
 * Post-processing SNR of the ZF filter, ``N / sum_i(v / s_i^2)``, and of
   the MMSE filter, ``(a + b) / (v (N + 1) c + N b - a)`` with the spectral
   sums ``a``, ``b``, ``c`` defined in :func:`mmse_abc`; ``N b - a`` is
@@ -99,7 +101,7 @@ def cond_ratio_approx(sigma_1: float, sigma_n: float, noise: NoiseModel) -> floa
 
     Returns ``(1 + v/sigma_1^2) / (1 + v/sigma_n^2)``, which is always in
     ``(0, 1]`` and equals 1 exactly when the noise vanishes or the channel
-    is orthogonal (``sigma_1 == sigma_n``).
+    is orthogonal (``sigma_1 == sigma_n``), and is exact if ``sigma_n >= sqrt(v)``.
     """
     s1 = float(sigma_1)
     sn = float(sigma_n)
@@ -116,13 +118,13 @@ def cond_ratio_approx(sigma_1: float, sigma_n: float, noise: NoiseModel) -> floa
 def cond_ratio_exact(h, noise: NoiseModel) -> CondRatioReport:
     """Exact cond(W_mmse)/cond(W_zf) for a channel, with the approximation alongside.
 
-    Builds both filtering matrices, measures their condition numbers by SVD,
-    and fills in :func:`cond_ratio_approx` evaluated at the channel's
-    extreme singular values.
+    Evaluates both filters' condition numbers in closed form on the
+    channel's singular values, from one SVD, and fills in
+    :func:`cond_ratio_approx` at the extreme ones.
     """
-    m, s = _guarded_channel(h, 0.0)
+    _, s = _guarded_channel(h, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond_zf, cond_mmse = _filter_conds(m[None], noise.variance)[:, 0].tolist()
+        cond_zf, cond_mmse = _spectral_conds(s, 0.0, noise.variance).tolist()
     if not cond_mmse * linalg.SINGULARITY_RTOL < 1.0:  # the Gram guard bounds cond_zf
         raise SingularMatrixError("condition number undefined for a singular MMSE filter")
     return CondRatioReport(
@@ -133,7 +135,18 @@ def cond_ratio_exact(h, noise: NoiseModel) -> CondRatioReport:
     )
 
 
-def _filter_conds(h: np.ndarray, variance: float) -> np.ndarray:
+def _spectral_conds(s: np.ndarray, *variances) -> np.ndarray:
+    """cond((H^H H + v I)^{-1} H^H) from H's spectra ``s (..., N)``, one row per ``v`` (0 is ZF).
+
+    That filter has the singular values ``f(s_i) = s_i / (s_i^2 + v)``, so
+    each row is ``max f / min f``.  Each ``v`` is a scalar or one per
+    spectrum; unchecked.
+    """
+    f = np.stack([s / (s * s + np.asarray(v)[..., None]) for v in variances])
+    return np.max(f, axis=-1) / np.min(f, axis=-1)
+
+
+def _filter_conds(h: np.ndarray, variance) -> np.ndarray:
     """Rows ``(cond(W_zf), cond(W_mmse))`` for a stack ``(count, n, n)``, by one batched SVD."""
     sv = np.linalg.svd(np.stack(_filters(h, 0.0, variance)), compute_uv=False)
     return sv[..., 0] / sv[..., -1]

@@ -4,7 +4,8 @@ Exit codes: 0 on success; 1 on usage errors (flag syntax, values that do
 not parse, bad SNR ranges, ``--format``, config files); 2 on runtime
 failures, with one ``error:`` line, and on ``props`` invariant violations.
 A value that parses but that a runner rejects (``--trials 0``, ``--cond
-0.5``, ``--snr 4000``) is a runtime failure, raised before any block runs.
+0.5``, ``--snr 4000``, a 31-digit ``--trials``) is a runtime failure,
+raised before any block runs.
 
 Output files are byte-identical across identical invocations.  CSV files
 start with a header line followed by a ``#`` metadata comment carrying the
@@ -392,7 +393,7 @@ def run_cli(argv) -> int:
             return _report_props(result, kwargs["master_seed"], opts)
         _emit(result, opts)
         return 0
-    except (LindetError, MemoryError, OSError, ValueError) as exc:
+    except (LindetError, MemoryError, OSError, OverflowError, ValueError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,8 @@ triples alone.  This module holds only that scheduling and reduction; the
 maths comes from :mod:`lindet.channel`, :mod:`lindet.detection` and
 :mod:`lindet.analysis`, called on stacks.
 
-Stream layout 2 (``STREAM_LAYOUT``, recorded in every table): the
+Stream layout 3 (``STREAM_LAYOUT``, recorded in every table) draws as
+layout 2 did; only the condition-ratio rows changed.  The
 table1, gain and cdf runners read only singular values, so their blocks
 draw the bidiagonal Gaussian model
 (:func:`lindet.channel._gaussian_bidiagonal`); the BER and
@@ -51,6 +52,7 @@ from .analysis import (
     _filter_conds,
     _gain_db,
     _mmse_snr_terms,
+    _spectral_conds,
     _zf_snr,
     cond_ratio_approx,
     edelman_tail,
@@ -82,7 +84,7 @@ BLOCK_ELEMENTS = 2**22
 
 #: Version of the map from a stream address to the draws it feeds; it
 #: changes whenever a runner's output bytes change on purpose.
-STREAM_LAYOUT = 2
+STREAM_LAYOUT = 3
 
 # Stable experiment tags used as stream-key components.
 _TAG_TABLE1 = 1
@@ -535,9 +537,9 @@ def run_ber_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _cond_ratio_block(g, n, spectrum, variance, count):
+def _cond_ratio_block(g, n, spectrum, variance, ratio, count):
     cond_zf, cond_mmse = _filter_conds(_synthesized_stack(spectrum, count, g), variance)
-    return cond_mmse / cond_zf, cond_zf, cond_mmse
+    return (cond_mmse / cond_zf / ratio - 1.0,)
 
 
 def run_cond_ratio_sweep(
@@ -550,13 +552,14 @@ def run_cond_ratio_sweep(
     workers: int = 1,
     interior: str = "top",
 ) -> ResultTable:
-    """Exact vs approximate cond(W_mmse)/cond(W_zf) over synthesized channels.
+    """Exact vs approximate cond(W_mmse)/cond(W_zf) on a prescribed spectrum.
 
     Channels have prescribed condition number ``cond_target`` and smallest
     singular value swept over ``sigma_min_grid``; the noise variance follows
-    the ``1 / variance`` dB convention of this experiment.  The approximate
-    ratio depends only on the prescribed spectrum endpoints and is reported
-    alongside the Monte Carlo mean of the exact ratio.
+    the ``1 / variance`` dB convention of this experiment.  The exact and
+    approximate ratios are closed forms of the prescribed spectrum;
+    ``rms_rel_dev`` is the RMS of ``built / closed - 1`` for the ratio
+    over ``trials`` synthesized channels, a check of the closed form.
     """
     (n,), trials, master_seed, workers = _check_run((n,), trials, master_seed, workers)
     cond_target, sigma_min_grid = _check_spectrum(cond_target, sigma_min_grid)
@@ -564,19 +567,20 @@ def run_cond_ratio_sweep(
     rows = []
     for gi, sigma_min in enumerate(sigma_min_grid):
         spectrum = _spectrum_profile(n, cond_target, sigma_min, interior)
-        ratio, cond_zf, cond_mmse = _reduce(
-            _cond_ratio_block, master_seed, (_TAG_CONDRATIO, gi), (n, spectrum, noise.variance),
-            trials, workers,
+        cond_zf, cond_mmse = _spectral_conds(spectrum, 0.0, noise.variance).tolist()
+        ratio = cond_mmse / cond_zf
+        [(count, _, total_sq)] = _reduce(
+            _cond_ratio_block, master_seed, (_TAG_CONDRATIO, gi),
+            (n, spectrum, noise.variance, ratio), trials, workers,
         )
-        mean_r, se_r = _mean_se(*ratio)
         rows.append(
             {
                 "sigma_min": sigma_min,
-                "mean_exact_ratio": mean_r,
-                "se_exact_ratio": se_r,
+                "mean_exact_ratio": ratio,
+                "rms_rel_dev": math.sqrt(total_sq / count),
                 "approx_ratio": cond_ratio_approx(cond_target * sigma_min, sigma_min, noise),
-                "mean_cond_w_zf": cond_zf[1] / cond_zf[0],
-                "mean_cond_w_mmse": cond_mmse[1] / cond_mmse[0],
+                "mean_cond_w_zf": cond_zf,
+                "mean_cond_w_mmse": cond_mmse,
             }
         )
     return _result_table(

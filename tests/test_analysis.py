@@ -22,6 +22,9 @@ WORKED_C = 1.1386210988897585
 WORKED_SNR_MMSE = 15.319042871385843
 WORKED_GAIN_DB = 0.09140372516297657
 
+# Scales of TestGuardScaleLimits.H0 that the public filters' guard accepts.
+GUARD_SCALES_IN_RANGE = (1e-153, 1e-150, 1.0, 1e150, 1e153)
+
 
 class TestWeylLowerBound:
     def test_identity_perturbation_is_tight(self):
@@ -122,14 +125,28 @@ class TestCondRatioExact:
         report = analysis.cond_ratio_exact(real.matrix, NoiseModel(0.1))
         assert abs(report.exact_ratio - report.approx_ratio) / report.exact_ratio <= 0.10
 
-
-    def test_equals_the_stacked_kernel(self):
+    def test_equals_the_spectral_kernel(self):
         h = complex_gaussian((4, 4), RngStream(66).generator())
         report = analysis.cond_ratio_exact(h, NoiseModel(0.3))
-        cond_zf, cond_mmse = analysis._filter_conds(h[None], 0.3)
-        assert report.cond_w_zf == float(cond_zf[0])
-        assert report.cond_w_mmse == float(cond_mmse[0])
-        assert report.exact_ratio == float(cond_mmse[0]) / float(cond_zf[0])
+        s = np.linalg.svd(h, compute_uv=False)
+        cond_zf, cond_mmse = analysis._spectral_conds(s, 0.0, 0.3).tolist()
+        assert report.cond_w_zf == cond_zf
+        assert report.cond_w_mmse == cond_mmse
+        assert report.exact_ratio == cond_mmse / cond_zf
+
+    @pytest.mark.parametrize("scale", [None, *GUARD_SCALES_IN_RANGE])
+    def test_spectral_kernel_matches_the_built_filters(self, scale):
+        # the closed form against the SVD of the filters it describes, over
+        # random channels and at the extreme scales the guard lets through
+        g = RngStream(68).generator()
+        if scale is None:
+            h = complex_gaussian((50, 5, 5), g)
+            variance = g.uniform(1e-3, 5.0, size=50)
+        else:
+            h, variance = scale * TestGuardScaleLimits.H0[None], 0.1
+        s = np.linalg.svd(h, compute_uv=False)
+        closed = analysis._spectral_conds(s, 0.0, variance)
+        np.testing.assert_allclose(analysis._filter_conds(h, variance), closed, rtol=1e-9)
 
     @pytest.mark.parametrize(
         "h, error",
@@ -165,7 +182,7 @@ class TestGuardScaleLimits:
         with pytest.raises(SingularMatrixError):
             analysis.cond_ratio_exact(scale * self.H0, NoiseModel(0.1))
 
-    @pytest.mark.parametrize("scale", [1e-153, 1e-150, 1.0, 1e150, 1e153])
+    @pytest.mark.parametrize("scale", GUARD_SCALES_IN_RANGE)
     def test_scales_in_range_are_exact(self, scale):
         h = scale * self.H0
         np.testing.assert_allclose(detection.zf_filter(h).matrix @ h, np.eye(2), atol=1e-14)

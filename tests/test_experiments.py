@@ -419,6 +419,17 @@ class TestRunCondRatioSweep:
         b = run_cond_ratio_sweep(4, 15.0, [0.1, 0.3], trials=48, master_seed=8, workers=2)
         assert a.rows == b.rows
 
+    def test_built_filters_match_the_closed_form(self):
+        # rms_rel_dev is rounding error only, and the same at any worker count;
+        # 9000 trials span two blocks, so two workers really start a pool
+        grid = [0.05, 0.3, 2.0]
+        a = run_cond_ratio_sweep(4, 15.0, grid, trials=9000, master_seed=5, interior="geometric")
+        b = run_cond_ratio_sweep(4, 15.0, grid, trials=9000, master_seed=5, workers=2,
+                                 interior="geometric")
+        for row_a, row_b in zip(a.rows, b.rows):
+            assert 0.0 < row_a["rms_rel_dev"] <= 1e-12
+            assert row_a["rms_rel_dev"] == row_b["rms_rel_dev"]
+
 
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size, runs tasks inline."""
@@ -507,7 +518,7 @@ class TestBlockRule:
 
     def test_layout_recorded_in_the_metadata(self, table1_table, condratio_table):
         for table in (table1_table, condratio_table):
-            assert table.metadata["stream_layout"] == 2
+            assert table.metadata["stream_layout"] == 3
             assert table.metadata["block_elements"] == 2**22
 
 
