@@ -17,12 +17,14 @@ MMSE detection on a known channel spectrum:
   sums ``a``, ``b``, ``c`` defined in :func:`mmse_abc`; ``N b - a`` is
   evaluated as a sum of squares rather than as written, which would cancel
   catastrophically at small noise.
-* A Monte Carlo distortion-SNR oracle that measures transmit energy over
-  filtered-error energy directly, independent of the closed forms.
 
 Infinite SNR is a first-class value (``math.inf``), not an exception: the
 zero-noise limits are analytically meaningful and both detectors diverge
 together there.
+
+This module draws no random numbers.  The Monte Carlo distortion oracle
+that checks the SNR formulas, :func:`lindet.experiments.empirical_distortion_snr`,
+runs on the experiment runners' block driver.
 """
 
 from __future__ import annotations
@@ -33,11 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channel import NoiseModel, RngStream, _cn_noise
-from .detection import FilterMatrix, _filters, _guarded_channel, qpsk_modulate
+from .channel import NoiseModel
+from .detection import _filters, _guarded_channel
 from .exceptions import DimensionError, SingularMatrixError
-
-_MC_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -284,51 +284,3 @@ def edelman_tail(x: float) -> float:
     if not math.isfinite(xv) or xv < 0.0:
         raise ValueError(f"x must be finite and >= 0, got {x!r}")
     return math.exp(-xv - 0.5 * xv * xv)
-
-
-def empirical_distortion_snr(
-    h,
-    w: FilterMatrix,
-    noise: NoiseModel,
-    trials: int,
-    rng: RngStream,
-) -> float:
-    """Monte Carlo distortion SNR: transmit energy over filtered-error energy.
-
-    Draws random QPSK vectors ``x`` and noise ``n``, pushes them through the
-    channel and the given filter, and returns
-    ``sum ||x||^2 / sum ||W (H x + n) - x||^2`` over all trials.  This is an
-    oracle independent of the closed-form SNR expressions.  Zero accumulated
-    distortion (noiseless ZF) returns ``math.inf``.
-
-    Accumulation is blockwise with a fixed block size and an exact final
-    summation, so results are reproducible regardless of how callers shard
-    trials across workers.
-    """
-    m = linalg._require_square(h, "channel")
-    if w.matrix.shape[1] != m.shape[0]:
-        raise DimensionError(
-            f"filter expects length {w.matrix.shape[1]}, channel outputs "
-            f"length {m.shape[0]}"
-        )
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    n = m.shape[0]
-    g = rng.generator()
-    signal_parts = []
-    distortion_parts = []
-    remaining = trials
-    while remaining > 0:
-        block = min(_MC_BLOCK, remaining)
-        x = qpsk_modulate(g.integers(0, 2, size=(block, 2 * n)))
-        r = x @ m.T + _cn_noise((block, n), noise.variance, g)
-        y = r @ w.matrix.T
-        err = y - x
-        signal_parts.append(float(np.sum(np.abs(x) ** 2)))
-        distortion_parts.append(float(np.sum(np.abs(err) ** 2)))
-        remaining -= block
-    signal = math.fsum(signal_parts)
-    distortion = math.fsum(distortion_parts)
-    if distortion == 0.0:
-        return math.inf
-    return signal / distortion

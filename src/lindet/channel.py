@@ -307,16 +307,6 @@ def _floored_stack(g: np.random.Generator, count: int, n: int, floor: float, max
     )
 
 
-def haar_unitary(n: int, generator: np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n unitary matrix.
-
-    QR-orthonormalizes a standard complex Gaussian matrix and fixes the
-    phase of each diagonal scaling factor to be positive real, which makes
-    the distribution uniform on the unitary group.
-    """
-    return _phase_fixed_q(complex_gaussian((n, n), generator))
-
-
 def _phase_fixed_q(z: np.ndarray) -> np.ndarray:
     """Unitary QR factor of ``z`` with each diagonal entry of R made positive real.
 

@@ -13,7 +13,8 @@ results are bit-identical regardless of the worker count and of how blocks
 are scheduled.  Runners derive means and standard errors from those
 triples alone.  This module holds only that scheduling and reduction; the
 maths comes from :mod:`lindet.channel`, :mod:`lindet.detection` and
-:mod:`lindet.analysis`, called on stacks.
+:mod:`lindet.analysis`, called on stacks.  Every Monte Carlo estimate in
+lindet runs here, the distortion-SNR oracle included.
 
 Stream layout 3 (``STREAM_LAYOUT``, recorded in every table) draws as
 layout 2 did; only the condition-ratio rows changed.  The
@@ -47,6 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from ._version import __version__
 from .analysis import (
     _filter_conds,
@@ -73,7 +75,7 @@ from .channel import (
     _synthesized_stack,
     complex_gaussian,
 )
-from .detection import _filters, qpsk_modulate, qpsk_slice
+from .detection import FilterMatrix, _filters, qpsk_modulate, qpsk_slice
 from .exceptions import DimensionError
 
 _BLOCK = 8192
@@ -457,14 +459,21 @@ def run_min_singular_cdf(
 # ---------------------------------------------------------------------------
 
 
+def _transmit(g, n, variance, count):
+    """``(bits, symbols, noise)`` of ``count`` QPSK transmissions over ``n`` antennas.
+
+    Draws the bits, then CN(0, ``variance``) noise, in that order.
+    """
+    bits = g.integers(0, 2, size=(count, 2 * n))
+    return bits, qpsk_modulate(bits), _cn_noise((count, n), variance, g)
+
+
 def _ber_block(g, n, variance, floor, max_attempts, count):
     if floor > 0.0:
         h = _floored_stack(g, count, n, floor, max_attempts)[0]
     else:
         h = _normalized(complex_gaussian((count, n, n), g))
-    bits = g.integers(0, 2, size=(count, 2 * n))
-    x = qpsk_modulate(bits)
-    noise = _cn_noise((count, n), variance, g)
+    bits, x, noise = _transmit(g, n, variance, count)
     # Both detectors see the identical (H, x, n) triple per trial.
     r = np.einsum("bij,bj->bi", h, x) + noise
     w_zf, w_mmse = _filters(h, 0.0, variance)
@@ -530,6 +539,48 @@ def run_ber_sweep(
         "ber", rows, master_seed, trials, CONVENTION_RECEIVE,
         n=n, sigma_min_floor=floor, snr_grid_db=list(snr_grid_db),
     )
+
+
+# ---------------------------------------------------------------------------
+# distortion-SNR oracle
+# ---------------------------------------------------------------------------
+
+
+def _distortion_block(g, n, h, w, variance, count):
+    """Per-trial distortion ``||W (H x + n) - x||^2`` on one channel ``h`` and filter ``w``."""
+    _, x, noise = _transmit(g, n, variance, count)
+    err = ((x @ h.T + noise) @ w.T - x).view(np.float64)
+    return ((err * err) @ np.ones(2 * n),)
+
+
+def empirical_distortion_snr(
+    h,
+    w: FilterMatrix,
+    noise: NoiseModel,
+    trials: int,
+    rng: RngStream,
+) -> float:
+    """Monte Carlo distortion SNR: transmit energy over filtered-error energy.
+
+    Pushes random QPSK vectors ``x`` and noise ``n`` through the channel and
+    the given filter and returns ``N * trials / sum ||W (H x + n) - x||^2``
+    (QPSK symbols have unit energy), an oracle independent of the closed
+    forms; zero distortion (noiseless ZF) gives ``math.inf``.  Block ``i``
+    draws from stream ``(rng.master_seed, rng.key + (i,))``.
+    """
+    m = linalg._require_square(h, "channel")
+    if w.matrix.shape[1] != m.shape[0]:
+        raise DimensionError(
+            f"filter expects length {w.matrix.shape[1]}, channel outputs "
+            f"length {m.shape[0]}"
+        )
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    n = m.shape[0]
+    [(count, distortion, _)] = _reduce(
+        _distortion_block, rng.master_seed, rng.key, (n, m, w.matrix, noise.variance), trials, 1
+    )
+    return math.inf if distortion == 0.0 else n * count / distortion
 
 
 # ---------------------------------------------------------------------------

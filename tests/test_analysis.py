@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from lindet import analysis, detection, linalg
+from lindet import analysis, detection, experiments, linalg
 from lindet.channel import (
     NoiseModel,
     RngStream,
+    _phase_fixed_q,
     complex_gaussian,
-    haar_unitary,
     synthesize_spectrum,
 )
 from lindet.exceptions import DimensionError, SingularMatrixError
@@ -103,7 +103,7 @@ class TestCondRatioApprox:
 
 class TestCondRatioExact:
     def test_unitary_channel(self):
-        u = haar_unitary(4, RngStream(62).generator())
+        u = _phase_fixed_q(complex_gaussian((4, 4), RngStream(62).generator()))
         report = analysis.cond_ratio_exact(u, NoiseModel(0.7))
         assert report.exact_ratio == pytest.approx(1.0, abs=1e-9)
         assert report.cond_w_zf == pytest.approx(1.0, abs=1e-9)
@@ -349,18 +349,24 @@ class TestEdelmanTail:
             analysis.edelman_tail(-0.1)
 
 
+def test_analysis_draws_nothing():
+    # the closed forms take spectra; every Monte Carlo estimate is in experiments
+    sampling = {"RngStream", "_cn_noise", "complex_gaussian", "qpsk_modulate"}
+    assert not sampling & set(vars(analysis))
+
+
 class TestEmpiricalDistortionSnr:
     def test_zf_matches_closed_form_on_diagonal_channel(self):
         h = np.diag(WORKED_SPECTRUM).astype(complex)
         noise = NoiseModel(0.1)
         w = detection.zf_filter(h)
-        value = analysis.empirical_distortion_snr(h, w, noise, 100000, RngStream(67))
+        value = experiments.empirical_distortion_snr(h, w, noise, 100000, RngStream(67))
         assert value == pytest.approx(15.0, rel=0.02)
 
     def test_noiseless_zf_infinite(self):
         h = np.diag([2.0, 1.0]).astype(complex)
         w = detection.zf_filter(h)
-        value = analysis.empirical_distortion_snr(h, w, NoiseModel(0.0), 100, RngStream(68))
+        value = experiments.empirical_distortion_snr(h, w, NoiseModel(0.0), 100, RngStream(68))
         assert value == math.inf
 
     def test_mmse_matches_error_covariance_trace(self):
@@ -369,7 +375,7 @@ class TestEmpiricalDistortionSnr:
         h = np.diag(WORKED_SPECTRUM).astype(complex)
         noise = NoiseModel(0.1)
         w = detection.mmse_filter(h, noise)
-        value = analysis.empirical_distortion_snr(h, w, noise, 100000, RngStream(69))
+        value = experiments.empirical_distortion_snr(h, w, noise, 100000, RngStream(69))
         assert value == pytest.approx(16.238095238095237, rel=0.02)
         # ... which deliberately differs from the closed-form 15.319
         assert abs(value - WORKED_SNR_MMSE) / WORKED_SNR_MMSE > 0.03
@@ -377,12 +383,12 @@ class TestEmpiricalDistortionSnr:
     def test_deterministic(self):
         h = np.diag([1.5, 1.0]).astype(complex)
         w = detection.zf_filter(h)
-        a = analysis.empirical_distortion_snr(h, w, NoiseModel(0.2), 5000, RngStream(70))
-        b = analysis.empirical_distortion_snr(h, w, NoiseModel(0.2), 5000, RngStream(70))
+        a = experiments.empirical_distortion_snr(h, w, NoiseModel(0.2), 5000, RngStream(70))
+        b = experiments.empirical_distortion_snr(h, w, NoiseModel(0.2), 5000, RngStream(70))
         assert a == b
 
     def test_rejects_bad_trials(self):
         h = np.eye(2)
         w = detection.zf_filter(h)
         with pytest.raises(ValueError):
-            analysis.empirical_distortion_snr(h, w, NoiseModel(0.1), 0, RngStream(71))
+            experiments.empirical_distortion_snr(h, w, NoiseModel(0.1), 0, RngStream(71))

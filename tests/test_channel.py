@@ -451,7 +451,7 @@ class TestSynthesizeSpectrum:
         )
 
     def test_haar_factors_unitary(self):
-        u = channel.haar_unitary(6, RngStream(15).generator())
+        u = channel._phase_fixed_q(channel.complex_gaussian((6, 6), RngStream(15).generator()))
         np.testing.assert_allclose(linalg.gram(u), np.eye(6), atol=1e-10)
 
     def test_rejects_cond_below_one(self):

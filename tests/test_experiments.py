@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lindet import analysis, channel, experiments
-from lindet.channel import RngStream
+from lindet import analysis, channel, detection, experiments
+from lindet.channel import NoiseModel, RngStream
 from lindet.exceptions import DimensionError, SamplingExhaustedError
 from lindet.experiments import (
     noise_var_from_inverse_snr,
@@ -573,3 +573,18 @@ class TestReduceContract:
                 assert type(total) in (int, float, list)
                 if type(total) is list:
                     assert all(type(v) is int for v in total)
+
+
+class TestDistortionOracle:
+    def test_is_the_reduction_of_its_block_kernel(self):
+        # 9000 trials at N = 2 are two blocks, 8192 and 808 trials.
+        h = np.array([[1.2, 0.3j], [-0.4, 0.9]])
+        w = detection.zf_filter(h)
+        rng = RngStream(21, (3,))
+        blocks = [
+            experiments._distortion_block(rng.child(i).generator(), 2, h, w.matrix, 0.2, size)
+            for i, size in enumerate([8192, 808])
+        ]
+        distortion = math.fsum(float(np.sum(column)) for [column] in blocks)
+        oracle = experiments.empirical_distortion_snr(h, w, NoiseModel(0.2), 9000, rng)
+        assert oracle == 2 * 9000 / distortion

@@ -69,6 +69,19 @@ gain, cdf, ber and ber-floored data rows are byte-identical to layout 2;
 only the ``stream_layout`` field of their metadata moved.  The five
 ``GOLDEN_PLOTS`` hashes did not move.
 
+The ("props", "csv") and ("library", "bytes") hashes were recorded again
+when ``empirical_distortion_snr`` moved onto the runners' block driver:
+block ``i`` draws from its own stream ``rng.key + (i,)`` instead of every
+block drawing from ``rng`` in turn, and the signal energy is ``N`` per
+trial instead of a sum of ``|x|^2``.  In the library stream only the
+oracle's SNR moved (14.051695772509698 to 14.077555038194088); the Haar
+factor, which the stream now builds as ``_phase_fixed_q`` of a Gaussian
+draw since ``haar_unitary`` is gone, kept its bits.  In the props table
+only the ``distortion_oracle`` detail moved: one run of 400000 trials per
+channel with a delta-method SE replaced 64 replicates, and the stated
+false-alarm rate is now the union bound, at most 0.81%.  The twelve CLI
+hashes and the five ``GOLDEN_PLOTS`` hashes did not move.
+
 ``GOLDEN_PLOTS`` pins the gnuplot script that ``--emit-plot`` writes next
 to each single-worker CSV, keyed by experiment; the ber-floored script is
 the ber script.
@@ -103,7 +116,7 @@ from lindet import (
     zf_filter,
 )
 from lindet import cli
-from lindet.channel import haar_unitary
+from lindet.channel import _phase_fixed_q, complex_gaussian
 
 CLI_CASES = {
     "table1": ("table1", "--dims", "2,4,8"),
@@ -127,8 +140,8 @@ GOLDEN = {
     ("ber-floored", "json"): "d2fd3431a5442574a7dc595c6073f0db8ffdd8713917fbec172f50687298c35a",
     ("condratio", "csv"): "0c650019a3ba288269296c76c76a1005804397b5e6ad9e9f863f3c6c35ec49c4",
     ("condratio", "json"): "529301be7c88bd2587820e01f32eeb2ac0c24cd5c18089fe71be7dc5fb6d7c05",
-    ("props", "csv"): "b585aba044c0c6854c889700043e51169767b9ae0875fad2414a894b8d965968",
-    ("library", "bytes"): "f3b4480a182c361519ba5c19fb066b78a64ff922faf52ff9d529b04dc29ce57e",
+    ("props", "csv"): "5036db89f49d03ffe29120cc3cab06816e586b48c3ea408ab91df153d8b447c9",
+    ("library", "bytes"): "888503dd8303d9e6aef25c88e34f6ff55340ddd2c1b5497002533e8db7b439db",
 }
 
 GOLDEN_PLOTS = {
@@ -175,7 +188,7 @@ def _library_bytes(tmp_path) -> bytes:
     for k, interior in enumerate(("top", "geometric")):
         real = synthesize_spectrum(5, 15.0, 0.2, stream.child(1, k), interior=interior)
         parts += [real.matrix, real.spectrum]
-    parts.append(haar_unitary(4, stream.child(2).generator()))
+    parts.append(_phase_fixed_q(complex_gaussian((4, 4), stream.child(2).generator())))
     parts.append(sample_floored(4, 0.3, stream.child(3)).matrix)
     h = normalize(sample_standard_gaussian(4, stream.child(7))).matrix
     spectrum = np.array([2.5, 1.0, 0.4, 0.05])

@@ -1,4 +1,4 @@
-import math
+import re
 
 import pytest
 
@@ -28,21 +28,23 @@ def test_conditioning_checks_catch_a_one_percent_error(error, monkeypatch):
     assert not properties.check_approx_ratio_exact_above_sqrt_v(samples=120).passed
 
 
-@pytest.mark.parametrize(
-    "dof, tail",
-    [(1, 1.0 - 2.0 / math.pi * math.atan(3.0)), (2, 1.0 - 3.0 / math.sqrt(11.0))],
-    ids=["cauchy", "two-dof"],
-)
-def test_t_tail_closed_forms(dof, tail):
-    assert properties._t_two_sided_tail(3.0, dof) == pytest.approx(tail, rel=1e-14)
+def test_distortion_oracle_reports_its_false_alarm_rate():
+    # |Z| > 3 has probability 0.27% on correct code; the union bound over
+    # the three channels gives the rate the detail states
+    detail = properties.check_distortion_oracle(trials=64).detail
+    assert "false-alarm rate <= 0.81% (3 SE, 3 channels)" in detail
 
 
-@pytest.mark.parametrize("replicates, rate", [(16, "2.67%"), (64, "1.15%")])
-def test_distortion_oracle_reports_its_false_alarm_rate(replicates, rate):
-    # 3 SE from 16 replicates failed 2.7% of seeds on correct code; 64
-    # replicates bring that to 1.15%, which the detail states
-    detail = properties.check_distortion_oracle(replicates=replicates, trials=64).detail
-    assert f"false-alarm rate {rate} (3 SE, {replicates} replicates" in detail
+def test_distortion_oracle_catches_a_one_percent_zf_error(monkeypatch):
+    formula = analysis.snr_zf
+    monkeypatch.setattr(analysis, "snr_zf", lambda s, noise: 1.01 * formula(s, noise))
+    result = properties.check_distortion_oracle()
+    assert not result.passed
+    # every channel's comparison fails, not only the worked example's pin
+    comparisons = re.findall(r"oracle (\S+) vs formula (\S+) \(se (\S+)\)", result.detail)
+    assert len(comparisons) == 3, result.detail
+    for oracle, target, se in comparisons:
+        assert abs(float(oracle) - float(target)) > 3.0 * float(se), result.detail
 
 
 def test_snr_ordering_reduced():
