@@ -8,8 +8,10 @@ falls below a floor, or synthesize a channel with a prescribed spectrum
 from independent Haar-random unitary factors.  Each has one kernel on
 stacks ``(count, n, n)``, with one check of its inputs: the public
 functions use stacks of one and the runners of :mod:`lindet.experiments`
-whole blocks, so both give the same bits from the same draws.  Runners
-that need only the singular values of Gaussian channels draw them from
+whole blocks, so both give the same bits from the same draws.  A kernel
+draws for its whole stack at once, then normalizes and decomposes it in
+chunks (:data:`CHUNK_ELEMENTS`), which bounds its dense working set.
+Runners that need only the singular values of Gaussian channels draw them from
 the bidiagonal model of the same ensemble (:func:`_gaussian_bidiagonal`),
 which has the same law as decomposing a dense draw at a fraction of the
 work and memory; it does not give the same bits.  The table1 and gain
@@ -38,6 +40,20 @@ from .exceptions import (
 
 #: Default rejection budget for floored sampling.
 DEFAULT_MAX_ATTEMPTS = 10**6
+
+#: Most matrix elements a stacked kernel's dense stage holds at once.  A
+#: block's draws are made whole, so the block alone fixes the streams; the
+#: normalizing, decomposing and filtering then run chunk by chunk, and each
+#: matrix's arithmetic is independent of the others, so the chunk size moves
+#: no output byte.
+CHUNK_ELEMENTS = 2**14
+
+
+def _chunks(count: int, n: int) -> list[slice]:
+    """Slices of ``range(count)`` of at most ``max(1, CHUNK_ELEMENTS // n**2)`` matrices."""
+    step = max(1, CHUNK_ELEMENTS // (n * n))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -200,9 +216,17 @@ def _normalized(m: np.ndarray) -> np.ndarray:
 
 
 def _normalized_draw(g: np.random.Generator, count: int, n: int):
-    """Normalized CN(0, 1) stack ``(count, n, n)`` and its descending spectra."""
-    h = _normalized(complex_gaussian((count, n, n), g))
-    return h, np.linalg.svd(h, compute_uv=False)
+    """Normalized CN(0, 1) stack ``(count, n, n)`` and its descending spectra.
+
+    The stack is drawn whole, then normalized in place and decomposed chunk
+    by chunk (:func:`_chunks`).
+    """
+    h = complex_gaussian((count, n, n), g)
+    s = np.empty((count, n))
+    for c in _chunks(count, n):
+        h[c] = _normalized(h[c])
+        s[c] = np.linalg.svd(h[c], compute_uv=False)
+    return h, s
 
 
 def _gaussian_bidiagonal(g: np.random.Generator, count: int, n: int, beta: int):
@@ -224,17 +248,23 @@ def _gaussian_bidiagonal(g: np.random.Generator, count: int, n: int, beta: int):
 def _gaussian_spectra(g: np.random.Generator, count: int, n: int) -> np.ndarray:
     """Descending singular values ``(count, n)`` of normalized CN(0, 1) channels.
 
-    The complex B of :func:`_gaussian_bidiagonal` is drawn, rescaled to
-    squared Frobenius norm N^2 and decomposed.  LAPACK returns a
-    bidiagonal's singular values to high relative accuracy (Demmel & Kahan
-    1990), the smallest included.
+    The diagonals of the complex B of :func:`_gaussian_bidiagonal` are drawn
+    for all ``count`` channels at once.  Each chunk (:func:`_chunks`) is
+    then scattered into one reused dense buffer, rescaled to squared
+    Frobenius norm N^2 and decomposed, so the dense stage holds one chunk,
+    not the whole stack.  LAPACK returns a bidiagonal's singular values to
+    high relative accuracy (Demmel & Kahan 1990), the smallest included.
     """
+    d, e = _gaussian_bidiagonal(g, count, n, 2)
+    chunks = _chunks(count, n)
     i = np.arange(n)
-    b = np.zeros((count, n, n))
-    b[:, i, i], b[:, i[:-1], i[1:]] = _gaussian_bidiagonal(g, count, n, 2)
-    # Rebinding b frees the unscaled stack before the SVD.
-    b = _normalized(b)
-    return np.linalg.svd(b, compute_uv=False)
+    buffer = np.zeros((chunks[0].stop, n, n))
+    s = np.empty((count, n))
+    for c in chunks:
+        b = buffer[: c.stop - c.start]
+        b[:, i, i], b[:, i[:-1], i[1:]] = d[c], e[c]
+        s[c] = np.linalg.svd(_normalized(b), compute_uv=False)
+    return s
 
 
 def _sigma_min_below(d: np.ndarray, e: np.ndarray, grid) -> np.ndarray:
@@ -400,8 +430,13 @@ def synthesize_spectrum(
 
 
 def _cn_noise(shape, variance: float, generator: np.random.Generator) -> np.ndarray:
-    """i.i.d. CN(0, variance) array; leading axes of ``shape`` are batch axes."""
-    scale = math.sqrt(variance * 0.5)
-    re = generator.standard_normal(shape)
-    im = generator.standard_normal(shape)
-    return scale * (re + 1j * im)
+    """i.i.d. CN(0, variance) array; leading axes of ``shape`` are batch axes.
+
+    All real parts are drawn first, then all imaginary parts; each is copied
+    into the one complex array that is returned, which is scaled in place.
+    """
+    z = np.empty(shape, dtype=np.complex128)
+    z.real = generator.standard_normal(shape)
+    z.imag = generator.standard_normal(shape)
+    z *= math.sqrt(variance * 0.5)
+    return z

@@ -11,8 +11,15 @@ index)``.  A block kernel returns only per-trial columns, trials on axis
 squares, and the blocks merge in a fixed order with exact summation, so
 results are bit-identical regardless of the worker count and of how blocks
 are scheduled.  Runners derive means and standard errors from those
-triples alone.  This module holds only that scheduling and reduction; the
-maths comes from :mod:`lindet.channel`, :mod:`lindet.detection` and
+triples alone.  The block fixes the streams: a kernel makes all of its
+block's draws first, in one order.  Its dense work (normalizing,
+decomposing, filtering, slicing) then runs in chunks of at most
+:data:`lindet.channel.CHUNK_ELEMENTS` elements, so a worker holds the
+block's draws and a few chunks, not a few dense copies of the block.  No
+matrix's arithmetic depends on its neighbours, so the chunk size moves no
+output byte: tables record ``block_elements`` and not the chunk budget.
+This module holds only that scheduling and reduction; the maths comes
+from :mod:`lindet.channel`, :mod:`lindet.detection` and
 :mod:`lindet.analysis`, called on stacks.  Every Monte Carlo estimate in
 lindet runs here, the distortion-SNR oracle included.
 
@@ -65,6 +72,7 @@ from .channel import (
     RngStream,
     _check_floor,
     _check_spectrum,
+    _chunks,
     _cn_noise,
     _floored_stack,
     _gaussian_bidiagonal,
@@ -472,13 +480,15 @@ def _ber_block(g, n, variance, floor, max_attempts, count):
     if floor > 0.0:
         h = _floored_stack(g, count, n, floor, max_attempts)[0]
     else:
-        h = _normalized(complex_gaussian((count, n, n), g))
+        h = complex_gaussian((count, n, n), g)
     bits, x, noise = _transmit(g, n, variance, count)
-    # Both detectors see the identical (H, x, n) triple per trial.
-    r = np.einsum("bij,bj->bi", h, x) + noise
-    w_zf, w_mmse = _filters(h, 0.0, variance)
-    k_zf = np.count_nonzero(qpsk_slice(np.einsum("bij,bj->bi", w_zf, r)) != bits, axis=1)
-    k_mmse = np.count_nonzero(qpsk_slice(np.einsum("bij,bj->bi", w_mmse, r)) != bits, axis=1)
+    k_zf, k_mmse = np.empty((2, count), dtype=np.intp)
+    for c in _chunks(count, n):
+        hc = h[c] if floor > 0.0 else _normalized(h[c])
+        # Both detectors see the identical (H, x, n) triple per trial.
+        r = np.einsum("bij,bj->bi", hc, x[c]) + noise[c]
+        for k, w in zip((k_zf, k_mmse), _filters(hc, 0.0, variance)):
+            k[c] = np.count_nonzero(qpsk_slice(np.einsum("bij,bj->bi", w, r)) != bits[c], axis=1)
     return k_zf, k_mmse, k_zf - k_mmse
 
 

@@ -484,6 +484,16 @@ class TestSampleNoise:
         n = channel._cn_noise(10**6, 0.5, RngStream(19).generator())
         assert 0.4975 <= float(np.mean(np.abs(n) ** 2)) <= 0.5025
 
+    @pytest.mark.parametrize("variance", [0.0, 0.3, 1.0, 1e300])
+    @pytest.mark.parametrize("shape", [16, (8, 4), (3, 5, 5)])
+    def test_equals_the_scaled_sum_of_two_draws(self, shape, variance):
+        g = RngStream(21).generator()
+        re, im = g.standard_normal(shape), g.standard_normal(shape)
+        expected = math.sqrt(variance * 0.5) * (re + 1j * im)
+        n = channel._cn_noise(shape, variance, RngStream(21).generator())
+        assert n.dtype == np.complex128
+        assert n.tobytes() == expected.tobytes()
+
     def test_deterministic(self):
         a = channel._cn_noise((8, 4), 1.0, RngStream(20, (4,)).generator())
         b = channel._cn_noise((8, 4), 1.0, RngStream(20, (4,)).generator())

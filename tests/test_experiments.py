@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -520,6 +521,81 @@ class TestBlockRule:
         for table in (table1_table, condratio_table):
             assert table.metadata["stream_layout"] == 3
             assert table.metadata["block_elements"] == 2**22
+
+
+# Blocks of 30 matrices, so 97 trials are blocks of 30, 30, 30 and 7.  A
+# budget of 100 elements makes chunks of 25, 11, 6 and 4 matrices at N = 2,
+# 3, 4 and 5: every block's last chunk is partial but in the full blocks at
+# N = 4.
+_CHUNK_RUNS = {
+    "table1": lambda workers: run_table1([2, 5], trials=97, master_seed=8, workers=workers),
+    "gain": lambda workers: run_gain_sweep(
+        [3, 4], [0.0, 20.0], trials=97, master_seed=8, workers=workers
+    ),
+    "ber": lambda workers: run_ber_sweep(
+        4, [0.0, 10.0], trials=97, master_seed=8, workers=workers
+    ),
+    "ber-floored": lambda workers: run_ber_sweep(
+        4, [0.0, 10.0], sigma_min_floor=0.3, trials=97, master_seed=8, workers=workers
+    ),
+}
+
+
+class TestChunks:
+    @pytest.mark.parametrize(
+        "count, n", [(1, 4), (97, 2), (8192, 4), (8192, 20), (1024, 64), (3, 200)]
+    )
+    def test_slices_cover_the_block_within_the_budget(self, count, n):
+        chunks = channel._chunks(count, n)
+        step = max(1, channel.CHUNK_ELEMENTS // n**2)
+        assert [i for c in chunks for i in range(count)[c]] == list(range(count))
+        assert all(0 < c.stop - c.start <= step for c in chunks)
+
+    @pytest.mark.parametrize("run", list(_CHUNK_RUNS.values()), ids=list(_CHUNK_RUNS))
+    def test_rows_do_not_depend_on_the_chunk_budget(self, run, monkeypatch):
+        monkeypatch.setattr(experiments, "_BLOCK", 30)
+        reference = run(1).rows
+        for budget in (1, 100, 2**40):
+            monkeypatch.setattr(channel, "CHUNK_ELEMENTS", budget)
+            for workers in (1, 2):
+                assert run(workers).rows == reference, (budget, workers)
+
+    @staticmethod
+    def _peak_bytes(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # A kernel holds its block's draws and outputs, the whole of which it
+    # may build twice over (the channel stack is drawn through one real
+    # temporary, and a floored block holds its first round's draw), plus a
+    # few complex chunks.  Run on whole blocks, the dense stage peaked at
+    # 5.4x (spectra), 1.5x (floored, N = 4) and 2.9x (N = 64) this bound.
+    def _assert_bounded(self, call, whole_bytes):
+        limit = 2 * whole_bytes + 8 * 16 * channel.CHUNK_ELEMENTS
+        assert self._peak_bytes(call) <= limit
+
+    def test_spectra_hold_their_diagonals_and_a_few_chunks(self):
+        count, n = 8192, 20
+        g = RngStream(30).generator()
+        # The diagonals d, e and the spectra s, all float64.
+        self._assert_bounded(
+            lambda: channel._gaussian_spectra(g, count, n), 8 * count * (3 * n - 1)
+        )
+
+    @pytest.mark.parametrize("n, count, floor", [(4, 8192, 0.3), (64, 1024, 0.0)])
+    def test_ber_block_holds_its_draws_and_a_few_chunks(self, n, count, floor):
+        g = RngStream(31).generator()
+        variance = noise_var_from_snr(10.0, n).variance
+        # The channels, then per trial 2n int64 bits, n complex symbols, n
+        # complex noise entries and three int64 error counts.
+        whole = 16 * count * n * n + count * (48 * n + 24)
+        self._assert_bounded(
+            lambda: experiments._ber_block(g, n, variance, floor, 10**6, count), whole
+        )
 
 
 _TOY_GRID = (-0.5, 0.0, 0.5)
