@@ -564,8 +564,10 @@ class TestChunks:
     def _peak_bytes(call):
         tracemalloc.start()
         try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             call()
-            return tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
 
