@@ -287,7 +287,11 @@ def _sigma_min_below(d: np.ndarray, e: np.ndarray, grid) -> np.ndarray:
     c2[1::2] = (e * e).T
     pivmin = np.finfo(float).tiny * np.maximum(1.0, c2.max(axis=0))
     grid = np.asarray(grid, dtype=float)
-    xs = np.unique(grid[grid > 0.0])
+    # The distinct points, sorted: each that differs from its successor, and
+    # the last.  Not np.unique, which loads numpy.ma in every pool worker;
+    # compared, not subtracted, as inf - inf warns.
+    xs = np.sort(grid[grid > 0.0])
+    xs = np.append(xs[:-1][xs[:-1] != xs[1:]], xs[-1:])
     # Trial t is below xs[j] exactly for j >= lo[t]; bisect on lo in [0, xs.size].
     lo = np.zeros(count, dtype=np.intp)
     hi = np.full(count, xs.size, dtype=np.intp)

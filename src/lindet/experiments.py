@@ -18,6 +18,11 @@ decomposing, filtering, slicing) then runs in chunks of at most
 block's draws and a few chunks, not a few dense copies of the block.  No
 matrix's arithmetic depends on its neighbours, so the chunk size moves no
 output byte: tables record ``block_elements`` and not the chunk budget.
+With ``workers > 1`` each grid point's blocks run in a process pool whose
+workers are forked after the parent has loaded every module a kernel needs
+(:func:`_run_blocks`), so a worker does only block work.  A kernel must
+therefore not import lazily, nor call a NumPy function that does (such as
+``np.unique``, which loads ``numpy.ma``).
 This module holds only that scheduling and reduction; the maths comes
 from :mod:`lindet.channel`, :mod:`lindet.detection` and
 :mod:`lindet.analysis`, called on stacks.  Every Monte Carlo estimate in
@@ -185,7 +190,9 @@ def _run_blocks(worker, tasks: list, workers: int) -> list:
     """Run block tasks, preserving task order in the returned partials.
 
     A pool never has more processes than tasks or than CPUs this process
-    may run on.
+    may run on.  Its workers are forked after this process has loaded
+    every module a block kernel needs, so that a worker does only block
+    work; a kernel must therefore not import anything lazily.
     """
     if workers <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
@@ -193,6 +200,12 @@ def _run_blocks(worker, tasks: list, workers: int) -> list:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         cpus = os.cpu_count() or 1
+    # NumPy 2 loads numpy.random on first use, and this process draws
+    # nothing before the fork, so without this each worker would import its
+    # own copy (about 14 ms a worker).  Here and not at module level, where
+    # it slowed every CLI start-up, pooled or not.
+    import numpy.random  # noqa: F401
+
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks), cpus)) as pool:
         return list(pool.map(worker, tasks))
 

@@ -241,7 +241,7 @@ class TestSigmaMinBelow:
         # Tier-1 turns warnings into errors; extreme grids must not warn.
         d, e = _graded(np.random.default_rng(9), 30, 5, 8)
         d[:5, 2] = 0.0
-        grid = (5e-324, 1e-300, 1e300, 1.7e308, math.inf)
+        grid = (5e-324, 1e-300, 1e300, 1e-300, 1.7e308, math.inf, math.inf)
         with np.errstate(all="raise"):
             got = channel._sigma_min_below(d, e, grid)
         np.testing.assert_array_equal(got, _svd_below(d, e, grid))

@@ -1,5 +1,10 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,6 +455,39 @@ class _RecordingPool:
         return map(fn, tasks)
 
 
+# Runs two blocks of every kernel through a forked pool and prints the
+# modules a worker loaded while running a block.  The arguments are built
+# without drawing, so the parent has imported no more than lindet needs.
+_WORKER_IMPORT_PROBE = """
+import sys
+
+import numpy as np
+
+from lindet import experiments as ex
+
+
+def probe(task):
+    before = set(sys.modules)
+    ex._run_block(task)
+    return set(sys.modules) - before
+
+
+n, v, grid = 3, 0.1, (0.1, 0.5, 1.0)
+kernels = [
+    (ex._gain_block, (n, v)),
+    (ex._table1_block, (n,)),
+    (ex._cdf_block, (n, grid)),
+    (ex._edelman_block, (n, grid)),
+    (ex._ber_block, (n, v, 0.0, 10)),
+    (ex._ber_block, (n, v, 0.3, 10**6)),
+    (ex._cond_ratio_block, (n, np.array([2.0, 1.0, 0.5]), v, 1.0)),
+    (ex._distortion_block, (n, np.eye(n), np.eye(n), v)),
+]
+tasks = [(k, 0, (i, j), args, 20) for i, (k, args) in enumerate(kernels) for j in range(2)]
+print(sorted(set().union(*ex._run_blocks(probe, tasks, workers=2))))
+"""
+
+
 class TestRunBlocks:
     @pytest.fixture
     def pool(self, monkeypatch):
@@ -479,6 +517,23 @@ class TestRunBlocks:
         capped = run_gain_sweep([2], [10.0], trials=9000, master_seed=4, workers=100000)
         assert pool.sizes == [2]
         assert capped.rows == run_gain_sweep([2], [10.0], trials=9000, master_seed=4).rows
+
+    @pytest.mark.skipif(
+        multiprocessing.get_all_start_methods()[0] != "fork" or len(os.sched_getaffinity(0)) < 2,
+        reason="needs 2 usable CPUs and the fork start method",
+    )
+    def test_forked_workers_import_no_module(self):
+        src = str(Path(experiments.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _WORKER_IMPORT_PROBE],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]", out.stdout
 
 
 class TestBlockRule:
