@@ -202,7 +202,7 @@ def _run_blocks(worker, tasks: list, workers: int) -> list:
         cpus = os.cpu_count() or 1
     # NumPy 2 loads numpy.random on first use, and this process draws
     # nothing before the fork, so without this each worker would import its
-    # own copy (about 14 ms a worker).  Here and not at module level, where
+    # own copy (about 13 ms a worker).  Here and not at module level, where
     # it slowed every CLI start-up, pooled or not.
     import numpy.random  # noqa: F401
 
