@@ -11,13 +11,19 @@ functions use stacks of one and the runners of :mod:`lindet.experiments`
 whole blocks, so both give the same bits from the same draws.  A kernel
 draws for its whole stack at once, then normalizes and decomposes it in
 chunks (:data:`CHUNK_ELEMENTS`), which bounds its dense working set.
-Runners that need only the singular values of Gaussian channels draw them from
+Where only the singular values of Gaussian channels matter, they come from
 the bidiagonal model of the same ensemble (:func:`_gaussian_bidiagonal`),
 which has the same law as decomposing a dense draw at a fraction of the
 work and memory; it does not give the same bits.  The table1 and gain
 runners decompose the bidiagonal (:func:`_gaussian_spectra`); the cdf
 runner only asks whether sigma_min is strictly below each grid point and
 answers from Sturm counts, without decomposing (:func:`_sigma_min_below`).
+A floor on sigma_min is met the same way (:func:`_floored_spectra`): each
+candidate bidiagonal is rejected or accepted on one Sturm count, and only
+the accepted ones are decomposed.  The law of a normalized Gaussian channel
+is unitarily invariant, so a floored channel is ``U diag(s) V^H`` with
+independent Haar factors; the floored BER runner drops ``U``, which CN
+noise does not see.
 
 All sampling routines are pure functions of an :class:`RngStream` value, so
 identical streams reproduce identical draws regardless of process or worker
@@ -47,6 +53,11 @@ DEFAULT_MAX_ATTEMPTS = 10**6
 #: matrix's arithmetic is independent of the others, so the chunk size moves
 #: no output byte.
 CHUNK_ELEMENTS = 2**14
+
+#: Most diagonal entries of candidate bidiagonals one floored rejection
+#: round draws: 8192 candidates at N = 4.  It fixes the draws, so unlike
+#: :data:`CHUNK_ELEMENTS` it is part of the stream layout.
+_ROUND_ELEMENTS = 2**15
 
 
 def _chunks(count: int, n: int) -> list[slice]:
@@ -175,9 +186,11 @@ def sample_floored(
 ) -> ChannelRealization:
     """Normalized Gaussian channel conditioned on ``sigma_N >= sigma_min``.
 
-    Draws standard complex Gaussian channels, normalizes each, and accepts
-    the first whose smallest singular value clears the floor, with the
-    rejection kernel of the floored BER runner.
+    A floor of 0 accepts the first normalized draw.  Above 0 the spectrum
+    comes from the rejection kernel of the floored BER runner
+    (:func:`_floored_spectra`) and the channel is ``U diag(s) V^H`` with
+    independent Haar factors, which has the law of the first dense draw
+    that clears the floor.
 
     Raises
     ------
@@ -189,7 +202,12 @@ def sample_floored(
     if n < 1:
         raise DimensionError(f"dimension must be >= 1, got {n}")
     floor = _check_floor(n, sigma_min, max_attempts)
-    h, s = _floored_stack(rng.generator(), 1, n, floor, max_attempts)
+    g = rng.generator()
+    if floor == 0.0:
+        h, s = _normalized_draw(g, 1, n)
+    else:
+        s = _floored_spectra(g, 1, n, floor, max_attempts)
+        h = _synthesized_stack(s, 1, g)
     return ChannelRealization(matrix=h[0], spectrum=s[0], provenance="floored", sigma_min=floor)
 
 
@@ -245,17 +263,32 @@ def _gaussian_bidiagonal(g: np.random.Generator, count: int, n: int, beta: int):
     return d, e
 
 
-def _gaussian_spectra(g: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """Descending singular values ``(count, n)`` of normalized CN(0, 1) channels.
+def _normalized_bidiagonal(g: np.random.Generator, count: int, n: int):
+    """The complex B of :func:`_gaussian_bidiagonal`, scaled to squared Frobenius norm N^2.
 
-    The diagonals of the complex B of :func:`_gaussian_bidiagonal` are drawn
-    for all ``count`` channels at once.  Each chunk (:func:`_chunks`) is
-    then scattered into one reused dense buffer, rescaled to squared
-    Frobenius norm N^2 and decomposed, so the dense stage holds one chunk,
-    not the whole stack.  LAPACK returns a bidiagonal's singular values to
-    high relative accuracy (Demmel & Kahan 1990), the smallest included.
+    Bidiagonalization keeps the Frobenius norm, so this is the bidiagonal
+    model of a normalized channel.
     """
     d, e = _gaussian_bidiagonal(g, count, n, 2)
+    scale = (n / np.sqrt(np.sum(d * d, axis=1) + np.sum(e * e, axis=1)))[:, None]
+    return d * scale, e * scale
+
+
+def _gaussian_spectra(g: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """Descending singular values ``(count, n)`` of normalized CN(0, 1) channels."""
+    return _bidiagonal_svd(*_gaussian_bidiagonal(g, count, n, 2))
+
+
+def _bidiagonal_svd(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Descending singular values ``(count, n)`` of B rescaled to squared Frobenius norm N^2.
+
+    Each chunk (:func:`_chunks`) of the diagonals ``d (count, n)`` and
+    superdiagonals ``e (count, n - 1)`` is scattered into one reused dense
+    buffer, rescaled and decomposed, so the dense stage holds one chunk, not
+    the whole stack.  LAPACK returns a bidiagonal's singular values to high
+    relative accuracy (Demmel & Kahan 1990), the smallest included.
+    """
+    count, n = d.shape
     chunks = _chunks(count, n)
     i = np.arange(n)
     buffer = np.zeros((chunks[0].stop, n, n))
@@ -319,26 +352,41 @@ def _sigma_min_below(d: np.ndarray, e: np.ndarray, grid) -> np.ndarray:
     return (grid > 0.0) & (np.searchsorted(xs, grid) >= lo[:, None])
 
 
-def _floored_stack(g: np.random.Generator, count: int, n: int, floor: float, max_attempts: int):
-    """Normalized stack ``(count, n, n)`` with ``sigma_N >= floor``, and its spectra.
+def _floored_spectra(g: np.random.Generator, count: int, n: int, floor: float, max_attempts: int):
+    """Descending spectra ``(count, n)`` of normalized CN(0, 1) channels with ``sigma_N >= floor``.
 
-    Each round draws the slots still open, in ascending order, as one stacked
-    draw and decomposes only those.  The sampling is exhausted as soon as one
-    slot has been rejected ``max_attempts`` times.
+    Candidates are bidiagonals of normalized channels
+    (:func:`_normalized_bidiagonal`), each accepted or rejected on one Sturm
+    count (:func:`_sigma_min_below`); only the accepted ones are decomposed
+    (:func:`_bidiagonal_svd`).  Each round draws a batch of consecutive
+    candidates for every slot still open, in ascending slot order, and a
+    slot takes its first accepted candidate.  The batch doubles from one
+    each round, up to :data:`_ROUND_ELEMENTS` diagonal entries a round (and
+    at least one candidate a slot), and is cut to what is left of the
+    slots' budget.  Every open slot has had the same batches, so the
+    sampling is exhausted when they have had ``max_attempts`` candidates
+    each.
     """
-    h = np.empty((count, n, n), dtype=np.complex128)
-    s = np.empty((count, n))
-    bad = np.arange(count)
-    for _ in range(max_attempts):
-        h[bad], s[bad] = _normalized_draw(g, bad.size, n)
-        bad = bad[s[bad, -1] < floor]
-        if not bad.size:
-            return h, s
-    raise SamplingExhaustedError(
-        f"no draw with sigma_min >= {floor} for {bad.size} of {count} "
-        f"slots within {max_attempts} attempts (n={n})",
-        attempts=max_attempts,
-    )
+    d, e = np.empty((count, n)), np.empty((count, n - 1))
+    slots = np.arange(count)
+    batch, tried = 1, 0
+    while slots.size:
+        if tried == max_attempts:
+            raise SamplingExhaustedError(
+                f"no draw with sigma_min >= {floor} for {slots.size} of {count} "
+                f"slots within {max_attempts} attempts (n={n})",
+                attempts=max_attempts,
+            )
+        k = min(batch, max(1, _ROUND_ELEMENTS // (n * slots.size)), max_attempts - tried)
+        cd, ce = _normalized_bidiagonal(g, slots.size * k, n)
+        ok = ~_sigma_min_below(cd, ce, [floor]).reshape(slots.size, k)
+        hit = ok.any(axis=1)
+        first = np.flatnonzero(hit) * k + ok.argmax(axis=1)[hit]
+        d[slots[hit]], e[slots[hit]] = cd[first], ce[first]
+        slots = slots[~hit]
+        tried += k
+        batch = 2 * k
+    return _bidiagonal_svd(d, e)
 
 
 def _phase_fixed_q(z: np.ndarray) -> np.ndarray:
@@ -376,13 +424,14 @@ def _spectrum_profile(n: int, cond: float, sigma_min: float, interior: str) -> n
 def _synthesized_stack(spectrum: np.ndarray, count: int, generator: np.random.Generator):
     """Stack ``(count, n, n)`` of channels ``U diag(spectrum) V^H``.
 
-    ``U`` and ``V`` are independent Haar unitaries: all of the stack's ``U``
-    draws come first, then all of its ``V`` draws.
+    ``spectrum`` is one spectrum ``(n,)`` for the whole stack or one per
+    matrix ``(count, n)``.  ``U`` and ``V`` are independent Haar unitaries:
+    all of the stack's ``U`` draws come first, then all of its ``V`` draws.
     """
-    n = spectrum.size
+    n = spectrum.shape[-1]
     u = _phase_fixed_q(complex_gaussian((count, n, n), generator))
     v = _phase_fixed_q(complex_gaussian((count, n, n), generator))
-    return (u * spectrum) @ v.conj().swapaxes(-1, -2)
+    return (u * spectrum[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _check_spectrum(cond: float, sigma_mins) -> tuple[float, tuple[float, ...]]:

@@ -28,18 +28,20 @@ from :mod:`lindet.channel`, :mod:`lindet.detection` and
 :mod:`lindet.analysis`, called on stacks.  Every Monte Carlo estimate in
 lindet runs here, the distortion-SNR oracle included.
 
-Stream layout 3 (``STREAM_LAYOUT``, recorded in every table) draws as
-layout 2 did; only the condition-ratio rows changed.  The
-table1, gain and cdf runners read only singular values, so their blocks
-draw the bidiagonal Gaussian model
-(:func:`lindet.channel._gaussian_bidiagonal`); the BER and
-condition-ratio runners draw channel matrices.  table1 and gain decompose
-each bidiagonal.  cdf does not: a cdf row counts the trials whose
-sigma_min is strictly below its grid point, decided by Sturm counts
-(:func:`lindet.channel._sigma_min_below`), and a tail row counts the
-complement.  An SVD comparison ``sigma_min <= x`` differs only where
-sigma_min equals x, which has probability zero, so it gives the same
-counts.
+Stream layout 4 (``STREAM_LAYOUT``, recorded in every table) draws as
+layout 3 did except for floored BER blocks.  The table1, gain and cdf
+runners read only singular values, so their blocks draw the bidiagonal
+Gaussian model (:func:`lindet.channel._gaussian_bidiagonal`); the
+unfloored BER and the condition-ratio runners draw channel matrices.
+table1 and gain decompose each bidiagonal.  cdf does not: a cdf row
+counts the trials whose sigma_min is strictly below its grid point,
+decided by Sturm counts (:func:`lindet.channel._sigma_min_below`), and a
+tail row counts the complement.  An SVD comparison ``sigma_min <= x``
+differs only where sigma_min equals x, which has probability zero, so it
+gives the same counts.  A floored BER block takes its spectra from the
+rejection kernel of :func:`lindet.channel.sample_floored`, which rejects
+on the same Sturm counts, and filters ``H = diag(s) V^H`` with a Haar
+``V`` in factor form: CN noise does not see H's left unitary factor.
 
 Two receive-SNR conventions coexist and are recorded per table:
 
@@ -79,10 +81,12 @@ from .channel import (
     _check_spectrum,
     _chunks,
     _cn_noise,
-    _floored_stack,
+    _floored_spectra,
     _gaussian_bidiagonal,
     _gaussian_spectra,
     _normalized,
+    _normalized_bidiagonal,
+    _phase_fixed_q,
     _sigma_min_below,
     _spectrum_profile,
     _synthesized_stack,
@@ -99,7 +103,7 @@ BLOCK_ELEMENTS = 2**22
 
 #: Version of the map from a stream address to the draws it feeds; it
 #: changes whenever a runner's output bytes change on purpose.
-STREAM_LAYOUT = 3
+STREAM_LAYOUT = 4
 
 # Stable experiment tags used as stream-key components.
 _TAG_TABLE1 = 1
@@ -413,10 +417,7 @@ def run_gain_sweep(
 
 
 def _cdf_block(g, n, grid, count):
-    d, e = _gaussian_bidiagonal(g, count, n, 2)
-    # B scaled to squared Frobenius norm N^2, which bidiagonalization keeps.
-    scale = (n / np.sqrt(np.sum(d * d, axis=1) + np.sum(e * e, axis=1)))[:, None]
-    return (_sigma_min_below(d * scale, e * scale, grid),)
+    return (_sigma_min_below(*_normalized_bidiagonal(g, count, n), grid),)
 
 
 def _edelman_block(g, n, tail_grid, count):
@@ -491,17 +492,26 @@ def _transmit(g, n, variance, count):
 
 def _ber_block(g, n, variance, floor, max_attempts, count):
     if floor > 0.0:
-        h = _floored_stack(g, count, n, floor, max_attempts)[0]
-    else:
-        h = complex_gaussian((count, n, n), g)
+        # H = diag(s) V^H: CN noise is rotation invariant, so H's left
+        # Haar factor does not change the law of the errors.
+        s = _floored_spectra(g, count, n, floor, max_attempts)
+    # The channels, or with a floor the Gaussian draws that become V.
+    z = complex_gaussian((count, n, n), g)
     bits, x, noise = _transmit(g, n, variance, count)
     k_zf, k_mmse = np.empty((2, count), dtype=np.intp)
     for c in _chunks(count, n):
-        hc = h[c] if floor > 0.0 else _normalized(h[c])
         # Both detectors see the identical (H, x, n) triple per trial.
-        r = np.einsum("bij,bj->bi", hc, x[c]) + noise[c]
-        for k, w in zip((k_zf, k_mmse), _filters(hc, 0.0, variance)):
-            k[c] = np.count_nonzero(qpsk_slice(np.einsum("bij,bj->bi", w, r)) != bits[c], axis=1)
+        if floor > 0.0:
+            # W_zf = V diag(1 / s) and W_mmse = V diag(s / (s^2 + v)).
+            vc, sc = _phase_fixed_q(z[c]), s[c]
+            r = sc * np.einsum("bij,bi->bj", vc.conj(), x[c]) + noise[c]
+            ys = [np.einsum("bij,bj->bi", vc, r * f) for f in (1.0 / sc, sc / (sc * sc + variance))]
+        else:
+            hc = _normalized(z[c])
+            r = np.einsum("bij,bj->bi", hc, x[c]) + noise[c]
+            ys = [np.einsum("bij,bj->bi", w, r) for w in _filters(hc, 0.0, variance)]
+        for k, y in zip((k_zf, k_mmse), ys):
+            k[c] = np.count_nonzero(qpsk_slice(y) != bits[c], axis=1)
     return k_zf, k_mmse, k_zf - k_mmse
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lindet import channel, linalg
+from lindet import channel, experiments, linalg
 from lindet.channel import NoiseModel, RngStream
+from lindet.detection import _filters, qpsk_slice
 from lindet.exceptions import (
     DegenerateInputError,
     DimensionError,
@@ -327,6 +328,13 @@ class TestSampleFloored:
         real = channel.sample_floored(4, 0.3, RngStream(9))
         assert float(np.sum(real.spectrum**2)) == pytest.approx(16.0, rel=1e-8)
 
+    def test_matrix_has_the_floored_spectrum(self):
+        real = channel.sample_floored(4, 0.6, RngStream(9))
+        np.testing.assert_allclose(
+            np.linalg.svd(real.matrix, compute_uv=False), real.spectrum, rtol=1e-12
+        )
+        assert np.linalg.norm(real.matrix) ** 2 == pytest.approx(16.0, rel=1e-12)
+
     @pytest.mark.parametrize("floor", [2.5, 10.0])
     def test_unattainable_floor_raises_without_drawing(self, floor, monkeypatch):
         # sigma_N <= sqrt(N) = 2 for normalized 4x4 channels
@@ -377,7 +385,7 @@ class TestSampleFloored:
 
 
 def _whole_block_reference(g, count, n, floor, max_attempts):
-    """The former block-wide rejection loop, kept as the reference.
+    """The dense block-wide rejection loop, kept as the reference.
 
     Every round decomposes the whole block again and redraws the rejected
     slots, in ascending order, as one stacked draw.
@@ -400,33 +408,117 @@ def _whole_block_reference(g, count, n, floor, max_attempts):
         h[bad] = normalized_block(n_bad)
 
 
-class TestFlooredStack:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_matches_whole_block_reference(self, seed):
-        stream = RngStream(seed, (5,))
-        h, s = channel._floored_stack(stream.generator(), 3000, 4, 0.3, 1000)
-        expected = _whole_block_reference(stream.generator(), 3000, 4, 0.3, 1000)
-        np.testing.assert_array_equal(h, expected)
-        np.testing.assert_array_equal(s, np.linalg.svd(h, compute_uv=False))
-        assert np.all(s[:, -1] >= 0.3)
+class TestFlooredBerLaw:
+    """The floored BER runner, in factor form on ``diag(s) V^H``, against dense channels."""
 
-    def test_decomposes_each_draw_once(self, monkeypatch):
-        drawn, decomposed = [], []
-        draw, svd = channel.complex_gaussian, np.linalg.svd
+    def test_factor_form_matches_the_dense_reference(self):
+        n, floor, trials, snrs = 4, 0.3, 50000, (0.0, 10.0)
+        table = experiments.run_ber_sweep(
+            n, snrs, sigma_min_floor=floor, trials=trials, master_seed=21
+        )
+        g = RngStream(22).generator()
+        h = _whole_block_reference(g, trials, n, floor, 1000)
+        for snr in snrs:
+            variance = experiments.noise_var_from_snr(snr, n).variance
+            bits, x, noise = experiments._transmit(g, n, variance, trials)
+            r = np.einsum("bij,bj->bi", h, x) + noise
+            for detector, w in zip(("zf", "mmse"), _filters(h, 0.0, variance)):
+                y = np.einsum("bij,bj->bi", w, r)
+                errors = np.count_nonzero(qpsk_slice(y) != bits, axis=1) / (2 * n)
+                [row] = table.select(detector=detector, snr_db=snr)
+                se = float(np.std(errors, ddof=1)) / math.sqrt(trials)
+                assert abs(row["ber"] - float(np.mean(errors))) <= 4 * math.hypot(row["se_ber"], se)
 
-        def recording_draw(shape, g):
-            drawn.append(shape[0])
-            return draw(shape, g)
+
+class _RecordingGenerator:
+    """A Generator that records the ``size`` of every ``chisquare`` draw."""
+
+    def __init__(self, g):
+        self.g, self.sizes = g, []
+
+    def chisquare(self, df, size):
+        self.sizes.append(size)
+        return self.g.chisquare(df, size=size)
+
+
+def _candidates(sizes):
+    """Candidates per rejection round: each round draws its diagonals, then its superdiagonals."""
+    assert [m for _, m in sizes[1::2]] == [m - 1 for _, m in sizes[0::2]]
+    return [k for k, _ in sizes[0::2]]
+
+
+def _reference_spectra(g, count, n, floor, candidates):
+    """The floored spectra from the same candidates, each judged by a dense SVD."""
+    d, e = np.empty((count, n)), np.empty((count, n - 1))
+    slots = np.arange(count)
+    for total in candidates:
+        k = total // slots.size
+        cd, ce = channel._normalized_bidiagonal(g, total, n)
+        ok = np.linalg.svd(_bidiagonal(cd, ce), compute_uv=False)[:, -1] >= floor
+        still_open = []
+        for j, slot in enumerate(slots):
+            accepted = np.flatnonzero(ok[j * k : (j + 1) * k])
+            if accepted.size:
+                d[slot], e[slot] = cd[j * k + accepted[0]], ce[j * k + accepted[0]]
+            else:
+                still_open.append(slot)
+        slots = np.array(still_open, dtype=int)
+    assert not slots.size
+    return np.linalg.svd(channel._normalized(_bidiagonal(d, e)), compute_uv=False)
+
+
+class TestFlooredSpectra:
+    """``channel._floored_spectra``, the rejection kernel of every floored channel."""
+
+    def test_each_accepted_channel_is_decomposed_once(self, monkeypatch):
+        decomposed, svd = [], np.linalg.svd
 
         def recording_svd(a, *args, **kwargs):
             decomposed.append(a.shape[0])
             return svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(channel, "complex_gaussian", recording_draw)
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        channel._floored_stack(RngStream(6).generator(), 2000, 4, 0.5, 1000)
-        assert len(drawn) > 1 and sum(drawn) > 2000
-        assert sum(decomposed) == sum(drawn)
+        g = _RecordingGenerator(RngStream(6).generator())
+        s = channel._floored_spectra(g, 2000, 4, 0.5, 1000)
+        # The rejections are extra chisquare draws, never extra decompositions.
+        assert sum(decomposed) == 2000
+        assert len(g.sizes) > 2 and sum(_candidates(g.sizes)) > 2000
+        assert np.all(s[:, -1] >= 0.5)
+        assert np.max(np.abs(np.sum(s * s, axis=1) - 16.0)) <= 1e-12 * 16.0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_each_slot_takes_its_first_accepted_candidate(self, seed):
+        stream = RngStream(seed, (5,))
+        g = _RecordingGenerator(stream.generator())
+        s = channel._floored_spectra(g, 3000, 4, 0.6, 1000)
+        expected = _reference_spectra(stream.generator(), 3000, 4, 0.6, _candidates(g.sizes))
+        np.testing.assert_array_equal(s, expected)
+
+    @pytest.mark.parametrize("count, n, batches", [
+        (1, 4, [1, 2, 4, 8, 16, 19]),  # doubling, the last cut to the budget of 50
+        (1, 4, [2**i for i in range(14)] + [8192, 3617]),  # 20000 candidates
+        (8192, 4, [1, 1, 1]),  # at most 8192 candidates a round, one a slot at least
+        (3000, 4, [1, 2, 2]),  # 2 x 3000 x 4 entries fit, 4 x 3000 x 4 do not
+        (1, 64, [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 512, 512, 483]),
+    ])
+    def test_batches_double_within_the_round_and_attempt_budgets(self, count, n, batches):
+        g = _RecordingGenerator(RngStream(11).generator())
+        with pytest.raises(SamplingExhaustedError) as err:
+            channel._floored_spectra(g, count, n, 0.99 * math.sqrt(n), sum(batches))
+        assert err.value.attempts == sum(batches)
+        assert [k // count for k in _candidates(g.sizes)] == batches
+
+    @pytest.mark.parametrize("n, floor", [(4, 0.3), (6, 0.2)])
+    def test_law_matches_dense_rejection(self, n, floor):
+        # Spectra of the first dense draws that clear the floor, against the
+        # floored bidiagonal model: KS at level 0.001 on sigma_min and kappa.
+        m = 12000
+        dense = channel._normalized_draw(RngStream(2, (n,)).generator(), 3 * m, n)[1]
+        dense = dense[dense[:, -1] >= floor]
+        s = channel._floored_spectra(RngStream(1, (n,)).generator(), m, n, floor, 1000)
+        critical = _ks_critical(m, dense.shape[0])
+        assert _ks(s[:, -1], dense[:, -1]) <= critical
+        assert _ks(s[:, 0] / s[:, -1], dense[:, 0] / dense[:, -1]) <= critical
 
 
 class TestSynthesizeSpectrum:

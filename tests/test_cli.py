@@ -1,6 +1,10 @@
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +103,24 @@ class TestExitCodes:
         assert run(["ber", "--n", "4", "--sigma-min", "2.5"]) == 2
         assert "unattainable" in capsys.readouterr().err
         assert not (tmp_path / "ber.csv").exists()
+
+    def test_tail_floor_exhausts_in_bounded_time(self, tmp_path):
+        # A feasible floor that about no normalized 4x4 channel clears: the
+        # default budget of 10**6 attempts must run out in seconds.
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "lindet.cli",
+             "ber", "--n", "4", "--sigma-min", "1.8", "--snr", "0", "--trials", "1"],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert out.returncode == 2
+        assert "within 1000000 attempts" in out.stderr
+        assert not list(tmp_path.iterdir())
 
     def test_non_finite_floor_fails(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -574,7 +574,7 @@ class TestBlockRule:
 
     def test_layout_recorded_in_the_metadata(self, table1_table, condratio_table):
         for table in (table1_table, condratio_table):
-            assert table.metadata["stream_layout"] == 3
+            assert table.metadata["stream_layout"] == 4
             assert table.metadata["block_elements"] == 2**22
 
 
@@ -628,8 +628,8 @@ class TestChunks:
 
     # A kernel holds its block's draws and outputs, the whole of which it
     # may build twice over (the channel stack is drawn through one real
-    # temporary, and a floored block holds its first round's draw), plus a
-    # few complex chunks.  Run on whole blocks, the dense stage peaked at
+    # temporary, and a floored block holds its spectra and the candidates
+    # of one rejection round too), plus a few complex chunks.  Run on whole blocks, the dense stage peaked at
     # 5.4x (spectra), 1.5x (floored, N = 4) and 2.9x (N = 64) this bound.
     def _assert_bounded(self, call, whole_bytes):
         limit = 2 * whole_bytes + 8 * 16 * channel.CHUNK_ELEMENTS
