@@ -18,12 +18,12 @@ work and memory; it does not give the same bits.  The table1 and gain
 runners decompose the bidiagonal (:func:`_gaussian_spectra`); the cdf
 runner only asks whether sigma_min is strictly below each grid point and
 answers from Sturm counts, without decomposing (:func:`_sigma_min_below`).
-A floor on sigma_min is met the same way (:func:`_floored_spectra`): each
-candidate bidiagonal is rejected or accepted on one Sturm count, and only
-the accepted ones are decomposed.  The law of a normalized Gaussian channel
-is unitarily invariant, so a floored channel is ``U diag(s) V^H`` with
-independent Haar factors; the floored BER runner drops ``U``, which CN
-noise does not see.
+A floor on sigma_min is met the same way (:func:`_floored_spectra`): one
+stream of candidate bidiagonals, drawn in rounds, each accepted or rejected
+on one Sturm count, fills the stack in order; only the accepted candidates
+are decomposed.  The law of a normalized Gaussian channel is unitarily
+invariant, so a floored channel is ``U diag(s) V^H`` with independent Haar
+factors; the floored BER runner drops ``U``, which CN noise does not see.
 
 All sampling routines are pure functions of an :class:`RngStream` value, so
 identical streams reproduce identical draws regardless of process or worker
@@ -201,7 +201,9 @@ def sample_floored(
     """
     if n < 1:
         raise DimensionError(f"dimension must be >= 1, got {n}")
-    floor = _check_floor(n, sigma_min, max_attempts)
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    floor = _check_floor(n, sigma_min)
     g = rng.generator()
     if floor == 0.0:
         h, s = _normalized_draw(g, 1, n)
@@ -211,13 +213,11 @@ def sample_floored(
     return ChannelRealization(matrix=h[0], spectrum=s[0], provenance="floored", sigma_min=floor)
 
 
-def _check_floor(n: int, sigma_min: float, max_attempts: int) -> float:
+def _check_floor(n: int, sigma_min: float) -> float:
     """The floor as a float; ``sigma_N <= sqrt(n)`` makes a floor that high fail at once."""
     floor = float(sigma_min)
     if not math.isfinite(floor) or floor < 0.0:
         raise ValueError(f"sigma_min must be finite and >= 0, got {sigma_min!r}")
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     if floor >= math.sqrt(n):
         raise SamplingExhaustedError(
             f"sigma_min floor {floor} is unattainable: normalized {n}x{n} channels "
@@ -355,37 +355,34 @@ def _sigma_min_below(d: np.ndarray, e: np.ndarray, grid) -> np.ndarray:
 def _floored_spectra(g: np.random.Generator, count: int, n: int, floor: float, max_attempts: int):
     """Descending spectra ``(count, n)`` of normalized CN(0, 1) channels with ``sigma_N >= floor``.
 
-    Candidates are bidiagonals of normalized channels
-    (:func:`_normalized_bidiagonal`), each accepted or rejected on one Sturm
-    count (:func:`_sigma_min_below`); only the accepted ones are decomposed
-    (:func:`_bidiagonal_svd`).  Each round draws a batch of consecutive
-    candidates for every slot still open, in ascending slot order, and a
-    slot takes its first accepted candidate.  The batch doubles from one
-    each round, up to :data:`_ROUND_ELEMENTS` diagonal entries a round (and
-    at least one candidate a slot), and is cut to what is left of the
-    slots' budget.  Every open slot has had the same batches, so the
-    sampling is exhausted when they have had ``max_attempts`` candidates
-    each.
+    One stream of candidate bidiagonals of normalized channels
+    (:func:`_normalized_bidiagonal`) is accepted or rejected on one Sturm
+    count each (:func:`_sigma_min_below`); slot ``i`` takes the ``i``-th
+    accepted candidate, which has the law of a first accepted draw as the
+    candidates are i.i.d., and only the accepted ones are decomposed
+    (:func:`_bidiagonal_svd`).  Rounds draw ``min(count, cap)`` candidates,
+    then twice as many as the round before, up to the
+    ``cap = _ROUND_ELEMENTS // n``.  The sampling is exhausted when
+    ``max_attempts`` candidates in a row after the previous acceptance are
+    rejected, so a hopeless floor costs at most ``max_attempts`` candidates
+    and one round at any ``count``.
     """
     d, e = np.empty((count, n)), np.empty((count, n - 1))
-    slots = np.arange(count)
-    batch, tried = 1, 0
-    while slots.size:
-        if tried == max_attempts:
+    cap = max(1, _ROUND_ELEMENTS // n)
+    taken, run, k = 0, 0, min(count, cap)
+    while taken < count:
+        cd, ce = _normalized_bidiagonal(g, k, n)
+        hits = np.flatnonzero(~_sigma_min_below(cd, ce, [floor])[:, 0])[: count - taken]
+        # The rejections before each acceptance, then after the last if a slot stays open.
+        end = hits[-1] + 1 if hits.size == count - taken else k
+        runs = np.diff(hits, prepend=-1 - run, append=end) - 1
+        if runs.max() >= max_attempts:
             raise SamplingExhaustedError(
-                f"no draw with sigma_min >= {floor} for {slots.size} of {count} "
-                f"slots within {max_attempts} attempts (n={n})",
+                f"no draw with sigma_min >= {floor} within {max_attempts} attempts (n={n})",
                 attempts=max_attempts,
             )
-        k = min(batch, max(1, _ROUND_ELEMENTS // (n * slots.size)), max_attempts - tried)
-        cd, ce = _normalized_bidiagonal(g, slots.size * k, n)
-        ok = ~_sigma_min_below(cd, ce, [floor]).reshape(slots.size, k)
-        hit = ok.any(axis=1)
-        first = np.flatnonzero(hit) * k + ok.argmax(axis=1)[hit]
-        d[slots[hit]], e[slots[hit]] = cd[first], ce[first]
-        slots = slots[~hit]
-        tried += k
-        batch = 2 * k
+        d[taken : taken + hits.size], e[taken : taken + hits.size] = cd[hits], ce[hits]
+        taken, run, k = taken + hits.size, runs[-1], min(2 * k, cap)
     return _bidiagonal_svd(d, e)
 
 

@@ -23,25 +23,29 @@ workers are forked after the parent has loaded every module a kernel needs
 (:func:`_run_blocks`), so a worker does only block work.  A kernel must
 therefore not import lazily, nor call a NumPy function that does (such as
 ``np.unique``, which loads ``numpy.ma``).
-This module holds only that scheduling and reduction; the maths comes
-from :mod:`lindet.channel`, :mod:`lindet.detection` and
-:mod:`lindet.analysis`, called on stacks.  Every Monte Carlo estimate in
-lindet runs here, the distortion-SNR oracle included.
+This module holds that scheduling and reduction, and the block kernels,
+which simulate the ``r = Hx + n`` transmission and call the maths of
+:mod:`lindet.channel`, :mod:`lindet.detection` and :mod:`lindet.analysis`
+on stacks; a floored BER block applies its factor-form filters itself.
+Every Monte Carlo estimate in lindet runs here, the distortion-SNR oracle
+included.
 
-Stream layout 4 (``STREAM_LAYOUT``, recorded in every table) draws as
-layout 3 did except for floored BER blocks.  The table1, gain and cdf
-runners read only singular values, so their blocks draw the bidiagonal
-Gaussian model (:func:`lindet.channel._gaussian_bidiagonal`); the
-unfloored BER and the condition-ratio runners draw channel matrices.
-table1 and gain decompose each bidiagonal.  cdf does not: a cdf row
-counts the trials whose sigma_min is strictly below its grid point,
-decided by Sturm counts (:func:`lindet.channel._sigma_min_below`), and a
-tail row counts the complement.  An SVD comparison ``sigma_min <= x``
-differs only where sigma_min equals x, which has probability zero, so it
-gives the same counts.  A floored BER block takes its spectra from the
-rejection kernel of :func:`lindet.channel.sample_floored`, which rejects
-on the same Sturm counts, and filters ``H = diag(s) V^H`` with a Haar
-``V`` in factor form: CN noise does not see H's left unitary factor.
+Stream layout 5 (``STREAM_LAYOUT``, recorded in every table) draws as
+layout 4 did except for floored BER blocks of more than one trial, whose
+slots now take the accepted candidates of one stream in turn.  The
+table1, gain and cdf runners read only singular values, so their blocks
+draw the bidiagonal Gaussian model
+(:func:`lindet.channel._gaussian_bidiagonal`); the unfloored BER and the
+condition-ratio runners draw channel matrices.  table1 and gain decompose
+each bidiagonal.  cdf does not: a cdf row counts the trials whose
+sigma_min is strictly below its grid point, decided by Sturm counts
+(:func:`lindet.channel._sigma_min_below`), and a tail row counts the
+complement.  An SVD comparison ``sigma_min <= x`` differs only where
+sigma_min equals x, which has probability zero, so it gives the same
+counts.  A floored BER block takes its spectra from the rejection kernel
+of :func:`lindet.channel.sample_floored`, which rejects on the same Sturm
+counts, and filters ``H = diag(s) V^H`` with a Haar ``V`` in factor
+form: CN noise does not see H's left unitary factor.
 
 Two receive-SNR conventions coexist and are recorded per table:
 
@@ -103,7 +107,7 @@ BLOCK_ELEMENTS = 2**22
 
 #: Version of the map from a stream address to the draws it feeds; it
 #: changes whenever a runner's output bytes change on purpose.
-STREAM_LAYOUT = 4
+STREAM_LAYOUT = 5
 
 # Stable experiment tags used as stream-key components.
 _TAG_TABLE1 = 1
@@ -490,11 +494,11 @@ def _transmit(g, n, variance, count):
     return bits, qpsk_modulate(bits), _cn_noise((count, n), variance, g)
 
 
-def _ber_block(g, n, variance, floor, max_attempts, count):
+def _ber_block(g, n, variance, floor, count):
     if floor > 0.0:
         # H = diag(s) V^H: CN noise is rotation invariant, so H's left
         # Haar factor does not change the law of the errors.
-        s = _floored_spectra(g, count, n, floor, max_attempts)
+        s = _floored_spectra(g, count, n, floor, DEFAULT_MAX_ATTEMPTS)
     # The channels, or with a floor the Gaussian draws that become V.
     z = complex_gaussian((count, n, n), g)
     bits, x, noise = _transmit(g, n, variance, count)
@@ -526,7 +530,6 @@ def run_ber_sweep(
     trials: int = 200000,
     master_seed: int = 0,
     workers: int = 1,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> ResultTable:
     """Paired ZF/MMSE QPSK bit error rates over floored channel realizations.
 
@@ -536,21 +539,20 @@ def run_ber_sweep(
     (``se_paired_diff``) is far smaller than for independent runs.  Rows
     with fewer than ``LOW_CONFIDENCE_ERRORS`` accumulated bit errors carry
     ``low_confidence = 1``.  A positive ``sigma_min_floor`` uses the rejection
-    kernel, checks and per-trial ``max_attempts`` of
-    :func:`lindet.channel.sample_floored`; the checks run before any block.
+    kernel and checks of :func:`lindet.channel.sample_floored` with its
+    default budget; the checks run before any block.
     """
     (n,), trials, master_seed, workers = _check_run((n,), trials, master_seed, workers)
     snr_grid_db = tuple(float(s) for s in snr_grid_db)
     if not snr_grid_db:
         raise ValueError("snr_grid_db must be nonempty")
-    floor = _check_floor(n, sigma_min_floor, max_attempts)
+    floor = _check_floor(n, sigma_min_floor)
     variances = [noise_var_from_snr(snr_db, n).variance for snr_db in snr_grid_db]
     rows = []
     bits_per_trial = 2 * n
     for si, (snr_db, variance) in enumerate(zip(snr_grid_db, variances)):
         zf, mmse, diff = _reduce(
-            _ber_block, master_seed, (_TAG_BER, si), (n, variance, floor, max_attempts),
-            trials, workers,
+            _ber_block, master_seed, (_TAG_BER, si), (n, variance, floor), trials, workers,
         )
         total_bits = zf[0] * bits_per_trial
         se_paired = _mean_se(*diff)[1] / bits_per_trial

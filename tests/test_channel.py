@@ -447,24 +447,11 @@ def _candidates(sizes):
     return [k for k, _ in sizes[0::2]]
 
 
-def _reference_spectra(g, count, n, floor, candidates):
-    """The floored spectra from the same candidates, each judged by a dense SVD."""
-    d, e = np.empty((count, n)), np.empty((count, n - 1))
-    slots = np.arange(count)
-    for total in candidates:
-        k = total // slots.size
-        cd, ce = channel._normalized_bidiagonal(g, total, n)
-        ok = np.linalg.svd(_bidiagonal(cd, ce), compute_uv=False)[:, -1] >= floor
-        still_open = []
-        for j, slot in enumerate(slots):
-            accepted = np.flatnonzero(ok[j * k : (j + 1) * k])
-            if accepted.size:
-                d[slot], e[slot] = cd[j * k + accepted[0]], ce[j * k + accepted[0]]
-            else:
-                still_open.append(slot)
-        slots = np.array(still_open, dtype=int)
-    assert not slots.size
-    return np.linalg.svd(channel._normalized(_bidiagonal(d, e)), compute_uv=False)
+def _judged(g, n, floor, rounds):
+    """The candidates of the same rounds, and whether each clears the floor by a dense SVD."""
+    drawn = [channel._normalized_bidiagonal(g, k, n) for k in rounds]
+    d, e = (np.concatenate(x) for x in zip(*drawn))
+    return d, e, np.linalg.svd(_bidiagonal(d, e), compute_uv=False)[:, -1] >= floor
 
 
 class TestFlooredSpectra:
@@ -487,26 +474,65 @@ class TestFlooredSpectra:
         assert np.max(np.abs(np.sum(s * s, axis=1) - 16.0)) <= 1e-12 * 16.0
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_each_slot_takes_its_first_accepted_candidate(self, seed):
+    def test_slot_i_takes_the_ith_accepted_candidate(self, seed):
         stream = RngStream(seed, (5,))
         g = _RecordingGenerator(stream.generator())
         s = channel._floored_spectra(g, 3000, 4, 0.6, 1000)
-        expected = _reference_spectra(stream.generator(), 3000, 4, 0.6, _candidates(g.sizes))
-        np.testing.assert_array_equal(s, expected)
+        rounds = _candidates(g.sizes)
+        assert rounds == [3000, 6000, 8192]  # about a quarter of the candidates clear 0.6
+        d, e, ok = _judged(stream.generator(), 4, 0.6, rounds)
+        first = np.flatnonzero(ok)[:3000]
+        b = channel._normalized(_bidiagonal(d[first], e[first]))
+        np.testing.assert_array_equal(s, np.linalg.svd(b, compute_uv=False))
 
-    @pytest.mark.parametrize("count, n, batches", [
-        (1, 4, [1, 2, 4, 8, 16, 19]),  # doubling, the last cut to the budget of 50
-        (1, 4, [2**i for i in range(14)] + [8192, 3617]),  # 20000 candidates
-        (8192, 4, [1, 1, 1]),  # at most 8192 candidates a round, one a slot at least
-        (3000, 4, [1, 2, 2]),  # 2 x 3000 x 4 entries fit, 4 x 3000 x 4 do not
-        (1, 64, [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 512, 512, 483]),
+    @pytest.mark.parametrize("count, n, budget, rounds", [
+        (1, 4, 50, [1, 2, 4, 8, 16, 32]),  # doubling from one
+        (1, 4, 20000, [2**i for i in range(14)] + [8192]),  # up to 2**15 // 4 candidates
+        (3000, 4, 20000, [3000, 6000, 8192, 8192]),  # from the count
+        (8192, 4, 20000, [8192, 8192, 8192]),
+        (1, 64, 2000, [2**i for i in range(10)] + [512, 512]),  # up to 2**15 // 64
     ])
-    def test_batches_double_within_the_round_and_attempt_budgets(self, count, n, batches):
+    def test_rounds_double_from_the_count_up_to_the_cap(self, count, n, budget, rounds):
         g = _RecordingGenerator(RngStream(11).generator())
+        with pytest.raises(SamplingExhaustedError):
+            channel._floored_spectra(g, count, n, 0.99 * math.sqrt(n), budget)
+        assert _candidates(g.sizes) == rounds
+
+    @pytest.mark.parametrize("count, n", [(1, 4), (8192, 4), (1024, 64)])
+    def test_hopeless_floor_costs_the_budget_and_one_round(self, count, n):
+        # No normalized channel comes near sigma_N = 0.99 sqrt(N).
+        g = _RecordingGenerator(RngStream(12).generator())
         with pytest.raises(SamplingExhaustedError) as err:
-            channel._floored_spectra(g, count, n, 0.99 * math.sqrt(n), sum(batches))
-        assert err.value.attempts == sum(batches)
-        assert [k // count for k in _candidates(g.sizes)] == batches
+            channel._floored_spectra(g, count, n, 0.99 * math.sqrt(n), 10**5)
+        assert err.value.attempts == 10**5
+        rounds = _candidates(g.sizes)
+        assert sum(rounds) - rounds[-1] < 10**5 <= sum(rounds)
+
+    @pytest.mark.parametrize("budget", [1, 10, 30, 100])
+    def test_exhausted_when_a_run_of_rejections_reaches_the_budget(self, budget):
+        # About 7% of the candidates clear 0.8 at N = 4, so runs cross rounds;
+        # at this seed the budgets up to 30 run out and 100 does not.
+        stream, count = RngStream(13), 40
+        g = _RecordingGenerator(stream.generator())
+        try:
+            channel._floored_spectra(g, count, 4, 0.8, budget)
+            exhausted = False
+        except SamplingExhaustedError:
+            exhausted = True
+        *_, ok = _judged(stream.generator(), 4, 0.8, _candidates(g.sizes))
+        run, taken = 0, 0
+        for accepted in ok:
+            run, taken = (0, taken + 1) if accepted else (run + 1, taken)
+            if taken == count or run == budget:
+                break
+        assert exhausted == (run == budget)
+
+    def test_spectra_do_not_depend_on_the_budget(self):
+        a, b = (
+            channel._floored_spectra(RngStream(3).generator(), 3000, 4, 0.6, budget)
+            for budget in (10**3, 10**6)
+        )
+        np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("n, floor", [(4, 0.3), (6, 0.2)])
     def test_law_matches_dense_rejection(self, n, floor):

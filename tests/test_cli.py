@@ -104,14 +104,16 @@ class TestExitCodes:
         assert "unattainable" in capsys.readouterr().err
         assert not (tmp_path / "ber.csv").exists()
 
-    def test_tail_floor_exhausts_in_bounded_time(self, tmp_path):
+    @pytest.mark.parametrize("trials", ["1", "8192"])
+    def test_tail_floor_exhausts_in_bounded_time(self, tmp_path, trials):
         # A feasible floor that about no normalized 4x4 channel clears: the
-        # default budget of 10**6 attempts must run out in seconds.
+        # default budget of 10**6 attempts must run out in seconds, for a
+        # block of one trial and for a full block of 8192.
         src = str(Path(cli.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-m", "lindet.cli",
-             "ber", "--n", "4", "--sigma-min", "1.8", "--snr", "0", "--trials", "1"],
+             "ber", "--n", "4", "--sigma-min", "1.8", "--snr", "0", "--trials", trials],
             cwd=tmp_path,
             env=dict(os.environ, PYTHONPATH=path),
             capture_output=True,

@@ -175,10 +175,6 @@ class TestRunnerChecks:
         with pytest.raises(ValueError):
             call()
 
-    def test_ber_rejects_zero_attempt_budget(self):
-        with pytest.raises(ValueError):
-            run_ber_sweep(4, [10.0], sigma_min_floor=0.3, trials=1, max_attempts=0)
-
     @pytest.mark.parametrize(
         "cond, sigma_mins",
         [(math.nan, [0.1]), (15.0, [0.1, math.nan]), (15.0, [math.inf]), (1e300, [1e10])],
@@ -365,12 +361,10 @@ class TestRunBerSweep:
             assert row["low_confidence"] == 1
 
     def test_floor_exhaustion_propagates(self):
-        # feasible for N = 4, so the block runs, but far too improbable for 5 draws
+        # feasible for N = 4, so the block runs, but far too improbable for the budget
         with pytest.raises(SamplingExhaustedError) as err:
-            run_ber_sweep(
-                4, [10.0], sigma_min_floor=1.9, trials=64, master_seed=1, max_attempts=5
-            )
-        assert err.value.attempts == 5
+            run_ber_sweep(4, [10.0], sigma_min_floor=1.9, trials=64, master_seed=1)
+        assert err.value.attempts == channel.DEFAULT_MAX_ATTEMPTS
 
     def test_unattainable_floor_raises_before_any_block(self, monkeypatch):
         def no_blocks(*args):
@@ -478,8 +472,8 @@ kernels = [
     (ex._table1_block, (n,)),
     (ex._cdf_block, (n, grid)),
     (ex._edelman_block, (n, grid)),
-    (ex._ber_block, (n, v, 0.0, 10)),
-    (ex._ber_block, (n, v, 0.3, 10**6)),
+    (ex._ber_block, (n, v, 0.0)),
+    (ex._ber_block, (n, v, 0.3)),
     (ex._cond_ratio_block, (n, np.array([2.0, 1.0, 0.5]), v, 1.0)),
     (ex._distortion_block, (n, np.eye(n), np.eye(n), v)),
 ]
@@ -574,7 +568,7 @@ class TestBlockRule:
 
     def test_layout_recorded_in_the_metadata(self, table1_table, condratio_table):
         for table in (table1_table, condratio_table):
-            assert table.metadata["stream_layout"] == 4
+            assert table.metadata["stream_layout"] == 5
             assert table.metadata["block_elements"] == 2**22
 
 
@@ -651,7 +645,7 @@ class TestChunks:
         # complex noise entries and three int64 error counts.
         whole = 16 * count * n * n + count * (48 * n + 24)
         self._assert_bounded(
-            lambda: experiments._ber_block(g, n, variance, floor, 10**6, count), whole
+            lambda: experiments._ber_block(g, n, variance, floor, count), whole
         )
 
 

@@ -95,6 +95,18 @@ byte-identical to layout 3; only the ``stream_layout`` field of their
 metadata moved, in the library stream's condratio CSV too.  The five
 ``GOLDEN_PLOTS`` hashes did not move.
 
+All fourteen hashes were recorded again for stream layout 5, which
+changed the draws of floored BER blocks of more than one trial only.  A
+floored block's slots now take the accepted candidates of one stream in
+turn, where each slot had its own batch of candidates a round.  So only
+the ber-floored data rows moved.  The table1, gain, cdf, unfloored ber
+and condratio data rows and the props rows are byte-identical to layout
+4; only the ``stream_layout`` field of their metadata moved, in the
+library stream's condratio CSV too.  The library stream's arrays,
+``sample_floored`` included, are byte-identical: a stack of one still
+draws rounds of 1, 2, 4, ... candidates.  The five ``GOLDEN_PLOTS``
+hashes did not move.
+
 ``GOLDEN_PLOTS`` pins the gnuplot script that ``--emit-plot`` writes next
 to each single-worker CSV, keyed by experiment; the ber-floored script is
 the ber script.
@@ -141,20 +153,20 @@ CLI_CASES = {
 }
 
 GOLDEN = {
-    ("table1", "csv"): "217de639b502f1d4f4c32246ba5ed6ea3c236319779c5139ea2ad717cca02ae9",
-    ("table1", "json"): "981e1e46614eb091e9b74c28448631a6e3a0c3a1463bd2685ceb8eaeb41cacf8",
-    ("gain", "csv"): "acb3d30e5c22cde86b0602542ec8848d4041ac5bd904545c86cd2c9d3fd652f3",
-    ("gain", "json"): "9aa85dbaeff332f0cafbcfddb2065232cd0b941981fa351dbf6788f8c02bb29a",
-    ("cdf", "csv"): "e35bf6852ab2f4f786e1bfa617ea27bebe8d1bc2c3d9c7021a517f7c2189e471",
-    ("cdf", "json"): "c9fb97451150d6843c77e7d5e332d774171644f8e395b158b5368db9fce23133",
-    ("ber", "csv"): "50c9d888a10b7039d1c51f68e7d9b50de2da1ec51decb21ce70a28cf379188c0",
-    ("ber", "json"): "62305fb53d862de5667132ed548f43fac8a4317024a52aaad4e1221d32e1436a",
-    ("ber-floored", "csv"): "0decccc28c1e591fd3d64e340fa965d20938dfda67ce1be4b7391951ca344673",
-    ("ber-floored", "json"): "e510b9f575894f18b367ca2ce368d74408e05900b386aa75d69b78b0b4e0f310",
-    ("condratio", "csv"): "8463dca76b9361004e7b0a660572419898030dd66640e67ebad6cafa1cf717df",
-    ("condratio", "json"): "cc4e0a8ef4f20a006d47b74150b09dc99f3bfc97826c63b22b55aa62a55f4bce",
-    ("props", "csv"): "e4f71bd0e56ab18d75cbdcc5034c901333070a7a0da8c219817ecdf48ece32a3",
-    ("library", "bytes"): "de97cdcce4d60e9aeb8f67f0a895744cb64b1c8aa70f7854058c324a27b701af",
+    ("table1", "csv"): "1157861d9c1c876f808c52fa190a8dbf91382e8949dac1584f922b88bfa65f47",
+    ("table1", "json"): "dc37b1ad059a00bab65124e6342207a0c1e378cb3d009acade80a0aac9a21e66",
+    ("gain", "csv"): "0a5a502a1353b335410d640cf9a422fdbbd36e62a45e0b33d4fdb50de5f8a5d1",
+    ("gain", "json"): "54588bf4d676c8a36cd86d28fcdcd542634a9cae3415b98d40a9a73536dd4284",
+    ("cdf", "csv"): "a72536c44431f9408d495520ecc536f75818e359923b0a238236e2340bbc518c",
+    ("cdf", "json"): "eb81ecf57a26cc5ed212a903b3050033cfb0ad982000ee2563f24205d1f26cba",
+    ("ber", "csv"): "f079950c6987b123856a6450745efa11835d99e63d917bccc561d2b64563db08",
+    ("ber", "json"): "5385bc1487488770d10b43966feb0e4a183bea4095edc1697df5ac26d0ccbe79",
+    ("ber-floored", "csv"): "4a1f7b1f84dc2e4e4e9b5e0cceafd5a8e2884328d7bbb12410d3e558d907f124",
+    ("ber-floored", "json"): "74ca58bad2742730642ebf2a2da2425ed5eacc3bb4731a885f4e716a5139cfe5",
+    ("condratio", "csv"): "4debff0504922fd8e3d9a52f3c49848da40256b5b2baf1b3211f2c7ac6803860",
+    ("condratio", "json"): "f63b4c167090ab9a6ac8993661b70a60bc5b87a500f89d4fa9c7704b7badbf41",
+    ("props", "csv"): "677cbf06accb15b56547370ad997ae383ac0331de3a853bbe37125ed54325367",
+    ("library", "bytes"): "8d5ee62044e16eb04af08932a4dc263130229c2e08fff936c1a03b971e59e5f7",
 }
 
 GOLDEN_PLOTS = {
