@@ -8,9 +8,11 @@ falls below a floor, or synthesize a channel with a prescribed spectrum
 from independent Haar-random unitary factors.  Each has one kernel on
 stacks ``(count, n, n)``, with one check of its inputs: the public
 functions use stacks of one and the runners of :mod:`lindet.experiments`
-whole blocks, so both give the same bits from the same draws.  A kernel
-draws for its whole stack at once, then normalizes and decomposes it in
-chunks (:data:`CHUNK_ELEMENTS`), which bounds its dense working set.
+whole blocks or slices of them, so both give the same bits from the same
+draws.  A kernel draws for the stack it is given at once, then normalizes
+and decomposes it in chunks (:data:`CHUNK_ELEMENTS`), which bounds its
+dense working set; the BER and condition-ratio runners hand it slices of
+:data:`_DRAW_ELEMENTS` elements, so their draws are bounded too.
 Where only the singular values of Gaussian channels matter, they come from
 the bidiagonal model of the same ensemble (:func:`_gaussian_bidiagonal`),
 which has the same law as decomposing a dense draw at a fraction of the
@@ -19,11 +21,12 @@ runners decompose the bidiagonal (:func:`_gaussian_spectra`); the cdf
 runner only asks whether sigma_min is strictly below each grid point and
 answers from Sturm counts, without decomposing (:func:`_sigma_min_below`).
 A floor on sigma_min is met the same way (:func:`_floored_spectra`): one
-stream of candidate bidiagonals, drawn in rounds, each accepted or rejected
-on one Sturm count, fills the stack in order; only the accepted candidates
-are decomposed.  The law of a normalized Gaussian channel is unitarily
-invariant, so a floored channel is ``U diag(s) V^H`` with independent Haar
-factors; the floored BER runner drops ``U``, which CN noise does not see.
+stream of candidate bidiagonals, drawn in rounds sized from the acceptance
+seen so far, each accepted or rejected on one Sturm count, fills the stack
+in order; only the accepted candidates are decomposed.  The law of a
+normalized Gaussian channel is unitarily invariant, so a floored channel is
+``U diag(s) V^H`` with independent Haar factors; the floored BER runner
+drops ``U``, which CN noise does not see.
 
 All sampling routines are pure functions of an :class:`RngStream` value, so
 identical streams reproduce identical draws regardless of process or worker
@@ -47,22 +50,29 @@ from .exceptions import (
 #: Default rejection budget for floored sampling.
 DEFAULT_MAX_ATTEMPTS = 10**6
 
-#: Most matrix elements a stacked kernel's dense stage holds at once.  A
-#: block's draws are made whole, so the block alone fixes the streams; the
-#: normalizing, decomposing and filtering then run chunk by chunk, and each
+#: Most matrix elements a stacked kernel's dense stage holds at once.  The
+#: normalizing and decomposing of drawn stacks run chunk by chunk, and each
 #: matrix's arithmetic is independent of the others, so the chunk size moves
 #: no output byte.
 CHUNK_ELEMENTS = 2**14
 
-#: Most diagonal entries of candidate bidiagonals one floored rejection
-#: round draws: 8192 candidates at N = 4.  It fixes the draws, so unlike
+#: Most matrix elements the BER and condition-ratio blocks draw at once: each
+#: draws and finishes its trials in slices of ``max(1, 2**13 // N**2)``, so
+#: its memory does not grow with the block.  It fixes the draws, so unlike
 #: :data:`CHUNK_ELEMENTS` it is part of the stream layout.
+_DRAW_ELEMENTS = 2**13
+
+#: Most diagonal entries of candidate bidiagonals one floored rejection
+#: round draws: 8192 candidates at N = 4.  Part of the stream layout too.
 _ROUND_ELEMENTS = 2**15
 
 
-def _chunks(count: int, n: int) -> list[slice]:
-    """Slices of ``range(count)`` of at most ``max(1, CHUNK_ELEMENTS // n**2)`` matrices."""
-    step = max(1, CHUNK_ELEMENTS // (n * n))
+def _chunks(count: int, n: int, elements: int | None = None) -> list[slice]:
+    """Slices of ``range(count)`` of at most ``max(1, elements // n**2)`` matrices.
+
+    ``elements`` defaults to :data:`CHUNK_ELEMENTS`.
+    """
+    step = max(1, (CHUNK_ELEMENTS if elements is None else elements) // (n * n))
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
@@ -359,17 +369,20 @@ def _floored_spectra(g: np.random.Generator, count: int, n: int, floor: float, m
     (:func:`_normalized_bidiagonal`) is accepted or rejected on one Sturm
     count each (:func:`_sigma_min_below`); slot ``i`` takes the ``i``-th
     accepted candidate, which has the law of a first accepted draw as the
-    candidates are i.i.d., and only the accepted ones are decomposed
-    (:func:`_bidiagonal_svd`).  Rounds draw ``min(count, cap)`` candidates,
-    then twice as many as the round before, up to the
-    ``cap = _ROUND_ELEMENTS // n``.  The sampling is exhausted when
-    ``max_attempts`` candidates in a row after the previous acceptance are
-    rejected, so a hopeless floor costs at most ``max_attempts`` candidates
-    and one round at any ``count``.
+    candidates are i.i.d., and only the accepted ones are decomposed, round
+    by round (:func:`_bidiagonal_svd`).  The first round draws
+    ``min(count, cap)`` candidates, ``cap = _ROUND_ELEMENTS // n``.  While
+    nothing has been accepted each round draws twice as many as the one
+    before; after that, the ``need = ceil(open * drawn / accepted)``
+    candidates that would fill the open slots at the acceptance seen so
+    far, plus ``3 isqrt(need) + 8``; never more than the cap.  The sampling
+    is exhausted when ``max_attempts`` candidates in a row after the
+    previous acceptance are rejected, so a hopeless floor costs at most
+    ``max_attempts`` candidates and one round at any ``count``.
     """
-    d, e = np.empty((count, n)), np.empty((count, n - 1))
+    s = np.empty((count, n))
     cap = max(1, _ROUND_ELEMENTS // n)
-    taken, run, k = 0, 0, min(count, cap)
+    taken, drawn, run, k = 0, 0, 0, min(count, cap)
     while taken < count:
         cd, ce = _normalized_bidiagonal(g, k, n)
         hits = np.flatnonzero(~_sigma_min_below(cd, ce, [floor])[:, 0])[: count - taken]
@@ -381,9 +394,15 @@ def _floored_spectra(g: np.random.Generator, count: int, n: int, floor: float, m
                 f"no draw with sigma_min >= {floor} within {max_attempts} attempts (n={n})",
                 attempts=max_attempts,
             )
-        d[taken : taken + hits.size], e[taken : taken + hits.size] = cd[hits], ce[hits]
-        taken, run, k = taken + hits.size, runs[-1], min(2 * k, cap)
-    return _bidiagonal_svd(d, e)
+        if hits.size:
+            s[taken : taken + hits.size] = _bidiagonal_svd(cd[hits], ce[hits])
+        taken, drawn, run = taken + hits.size, drawn + k, runs[-1]
+        if taken:
+            need = -(-(count - taken) * drawn // taken)
+            k = min(need + 3 * math.isqrt(need) + 8, cap)
+        else:
+            k = min(2 * k, cap)
+    return s
 
 
 def _phase_fixed_q(z: np.ndarray) -> np.ndarray:

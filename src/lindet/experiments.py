@@ -11,13 +11,17 @@ index)``.  A block kernel returns only per-trial columns, trials on axis
 squares, and the blocks merge in a fixed order with exact summation, so
 results are bit-identical regardless of the worker count and of how blocks
 are scheduled.  Runners derive means and standard errors from those
-triples alone.  The block fixes the streams: a kernel makes all of its
-block's draws first, in one order.  Its dense work (normalizing,
-decomposing, filtering, slicing) then runs in chunks of at most
-:data:`lindet.channel.CHUNK_ELEMENTS` elements, so a worker holds the
-block's draws and a few chunks, not a few dense copies of the block.  No
+triples alone.  The block fixes the streams: a kernel makes its block's
+draws in one order.  The table1, gain and cdf kernels draw their whole
+block's bidiagonals first, which grow with the block by O(N) floats a
+trial; their dense work (scattering, normalizing, decomposing) then runs in
+chunks of at most :data:`lindet.channel.CHUNK_ELEMENTS` elements.  No
 matrix's arithmetic depends on its neighbours, so the chunk size moves no
 output byte: tables record ``block_elements`` and not the chunk budget.
+The BER and condition-ratio kernels draw dense matrices, so they draw and
+finish their trials in slices of at most ``lindet.channel._DRAW_ELEMENTS``
+elements, each slice's draws in one order; the slice is part of the stream
+layout, and a worker holds a few slices, not a copy of the block.
 With ``workers > 1`` each grid point's blocks run in a process pool whose
 workers are forked after the parent has loaded every module a kernel needs
 (:func:`_run_blocks`), so a worker does only block work.  A kernel must
@@ -30,11 +34,12 @@ on stacks; a floored BER block applies its factor-form filters itself.
 Every Monte Carlo estimate in lindet runs here, the distortion-SNR oracle
 included.
 
-Stream layout 5 (``STREAM_LAYOUT``, recorded in every table) draws as
-layout 4 did except for floored BER blocks of more than one trial, whose
-slots now take the accepted candidates of one stream in turn.  The
-table1, gain and cdf runners read only singular values, so their blocks
-draw the bidiagonal Gaussian model
+Stream layout 6 (``STREAM_LAYOUT``, recorded in every table) draws as
+layout 5 did except for BER and condition-ratio blocks of more than one
+slice, which now draw slice by slice, and floored BER blocks, whose
+rejection rounds after the first acceptance are sized from the
+acceptance seen so far.  The table1, gain and cdf runners read only
+singular values, so their blocks draw the bidiagonal Gaussian model
 (:func:`lindet.channel._gaussian_bidiagonal`); the unfloored BER and the
 condition-ratio runners draw channel matrices.  table1 and gain decompose
 each bidiagonal.  cdf does not: a cdf row counts the trials whose
@@ -42,10 +47,11 @@ sigma_min is strictly below its grid point, decided by Sturm counts
 (:func:`lindet.channel._sigma_min_below`), and a tail row counts the
 complement.  An SVD comparison ``sigma_min <= x`` differs only where
 sigma_min equals x, which has probability zero, so it gives the same
-counts.  A floored BER block takes its spectra from the rejection kernel
-of :func:`lindet.channel.sample_floored`, which rejects on the same Sturm
-counts, and filters ``H = diag(s) V^H`` with a Haar ``V`` in factor
-form: CN noise does not see H's left unitary factor.
+counts.  A floored BER block takes its spectra, O(N) floats a trial, for
+the whole block from the rejection kernel of
+:func:`lindet.channel.sample_floored`, which rejects on the same Sturm
+counts, before its first slice; it filters ``H = diag(s) V^H`` with a
+Haar ``V`` in factor form: CN noise does not see H's left unitary factor.
 
 Two receive-SNR conventions coexist and are recorded per table:
 
@@ -81,6 +87,7 @@ from .channel import (
     DEFAULT_MAX_ATTEMPTS,
     NoiseModel,
     RngStream,
+    _DRAW_ELEMENTS,
     _check_floor,
     _check_spectrum,
     _chunks,
@@ -107,7 +114,7 @@ BLOCK_ELEMENTS = 2**22
 
 #: Version of the map from a stream address to the draws it feeds; it
 #: changes whenever a runner's output bytes change on purpose.
-STREAM_LAYOUT = 5
+STREAM_LAYOUT = 6
 
 # Stable experiment tags used as stream-key components.
 _TAG_TABLE1 = 1
@@ -499,23 +506,23 @@ def _ber_block(g, n, variance, floor, count):
         # H = diag(s) V^H: CN noise is rotation invariant, so H's left
         # Haar factor does not change the law of the errors.
         s = _floored_spectra(g, count, n, floor, DEFAULT_MAX_ATTEMPTS)
-    # The channels, or with a floor the Gaussian draws that become V.
-    z = complex_gaussian((count, n, n), g)
-    bits, x, noise = _transmit(g, n, variance, count)
     k_zf, k_mmse = np.empty((2, count), dtype=np.intp)
-    for c in _chunks(count, n):
+    for c in _chunks(count, n, _DRAW_ELEMENTS):
+        # The channels, or with a floor the Gaussian draws that become V.
+        z = complex_gaussian((c.stop - c.start, n, n), g)
+        bits, x, noise = _transmit(g, n, variance, c.stop - c.start)
         # Both detectors see the identical (H, x, n) triple per trial.
         if floor > 0.0:
             # W_zf = V diag(1 / s) and W_mmse = V diag(s / (s^2 + v)).
-            vc, sc = _phase_fixed_q(z[c]), s[c]
-            r = sc * np.einsum("bij,bi->bj", vc.conj(), x[c]) + noise[c]
+            vc, sc = _phase_fixed_q(z), s[c]
+            r = sc * np.einsum("bij,bi->bj", vc.conj(), x) + noise
             ys = [np.einsum("bij,bj->bi", vc, r * f) for f in (1.0 / sc, sc / (sc * sc + variance))]
         else:
-            hc = _normalized(z[c])
-            r = np.einsum("bij,bj->bi", hc, x[c]) + noise[c]
+            hc = _normalized(z)
+            r = np.einsum("bij,bj->bi", hc, x) + noise
             ys = [np.einsum("bij,bj->bi", w, r) for w in _filters(hc, 0.0, variance)]
         for k, y in zip((k_zf, k_mmse), ys):
-            k[c] = np.count_nonzero(qpsk_slice(y) != bits[c], axis=1)
+            k[c] = np.count_nonzero(qpsk_slice(y) != bits, axis=1)
     return k_zf, k_mmse, k_zf - k_mmse
 
 
@@ -624,8 +631,12 @@ def empirical_distortion_snr(
 
 
 def _cond_ratio_block(g, n, spectrum, variance, ratio, count):
-    cond_zf, cond_mmse = _filter_conds(_synthesized_stack(spectrum, count, g), variance)
-    return (cond_mmse / cond_zf / ratio - 1.0,)
+    deviation = np.empty(count)
+    for c in _chunks(count, n, _DRAW_ELEMENTS):
+        h = _synthesized_stack(spectrum, c.stop - c.start, g)
+        cond_zf, cond_mmse = _filter_conds(h, variance)
+        deviation[c] = cond_mmse / cond_zf / ratio - 1.0
+    return (deviation,)
 
 
 def run_cond_ratio_sweep(

@@ -475,15 +475,35 @@ class TestFlooredSpectra:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_slot_i_takes_the_ith_accepted_candidate(self, seed):
-        stream = RngStream(seed, (5,))
+        stream, count, floor = RngStream(seed, (5,)), 3000, 0.6
         g = _RecordingGenerator(stream.generator())
-        s = channel._floored_spectra(g, 3000, 4, 0.6, 1000)
-        rounds = _candidates(g.sizes)
-        assert rounds == [3000, 6000, 8192]  # about a quarter of the candidates clear 0.6
-        d, e, ok = _judged(stream.generator(), 4, 0.6, rounds)
-        first = np.flatnonzero(ok)[:3000]
+        s = channel._floored_spectra(g, count, 4, floor, 1000)
+        # Rebuild the schedule on the same stream, judged by a dense SVD: the
+        # count, then what fills the open slots at the acceptance seen so far.
+        ref, rounds, judged, accepted, k = stream.generator(), [], [], 0, count
+        while True:
+            rounds.append(k)
+            judged.append(_judged(ref, 4, floor, [k]))
+            accepted += int(np.count_nonzero(judged[-1][2]))
+            if accepted >= count:
+                break
+            need = math.ceil((count - accepted) * sum(rounds) / accepted)
+            k = min(need + 3 * math.isqrt(need) + 8, 2**15 // 4)
+        assert _candidates(g.sizes) == rounds
+        assert len(rounds) > 2  # about a quarter of the candidates clear 0.6
+        d, e, ok = (np.concatenate(x) for x in zip(*judged))
+        first = np.flatnonzero(ok)[:count]
         b = channel._normalized(_bidiagonal(d[first], e[first]))
         np.testing.assert_array_equal(s, np.linalg.svd(b, compute_uv=False))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_high_acceptance_takes_one_short_second_round(self, seed):
+        # About 97% of N = 4 channels clear 0.1: the open slots after the first
+        # round take one more round of a few hundred candidates, not 8192.
+        g = _RecordingGenerator(RngStream(seed, (6,)).generator())
+        channel._floored_spectra(g, 8192, 4, 0.1, 1000)
+        rounds = _candidates(g.sizes)
+        assert rounds[0] == 8192 and len(rounds) == 2 and rounds[1] < 500
 
     @pytest.mark.parametrize("count, n, budget, rounds", [
         (1, 4, 50, [1, 2, 4, 8, 16, 32]),  # doubling from one

@@ -568,7 +568,7 @@ class TestBlockRule:
 
     def test_layout_recorded_in_the_metadata(self, table1_table, condratio_table):
         for table in (table1_table, condratio_table):
-            assert table.metadata["stream_layout"] == 5
+            assert table.metadata["stream_layout"] == 6
             assert table.metadata["block_elements"] == 2**22
 
 
@@ -586,6 +586,9 @@ _CHUNK_RUNS = {
     ),
     "ber-floored": lambda workers: run_ber_sweep(
         4, [0.0, 10.0], sigma_min_floor=0.3, trials=97, master_seed=8, workers=workers
+    ),
+    "condratio": lambda workers: run_cond_ratio_sweep(
+        4, 15.0, [0.1, 1.0], trials=97, master_seed=8, workers=workers, interior="geometric"
     ),
 }
 
@@ -621,32 +624,52 @@ class TestChunks:
             tracemalloc.stop()
 
     # A kernel holds its block's draws and outputs, the whole of which it
-    # may build twice over (the channel stack is drawn through one real
-    # temporary, and a floored block holds its spectra and the candidates
-    # of one rejection round too), plus a few complex chunks.  Run on whole blocks, the dense stage peaked at
-    # 5.4x (spectra), 1.5x (floored, N = 4) and 2.9x (N = 64) this bound.
-    def _assert_bounded(self, call, whole_bytes):
-        limit = 2 * whole_bytes + 8 * 16 * channel.CHUNK_ELEMENTS
-        assert self._peak_bytes(call) <= limit
-
+    # may build twice over (the diagonals are drawn through temporaries),
+    # plus a few complex chunks.  Run on whole blocks, the dense stage
+    # peaked at 5.4x this bound.
     def test_spectra_hold_their_diagonals_and_a_few_chunks(self):
         count, n = 8192, 20
         g = RngStream(30).generator()
         # The diagonals d, e and the spectra s, all float64.
-        self._assert_bounded(
-            lambda: channel._gaussian_spectra(g, count, n), 8 * count * (3 * n - 1)
-        )
+        limit = 2 * 8 * count * (3 * n - 1) + 8 * 16 * channel.CHUNK_ELEMENTS
+        assert self._peak_bytes(lambda: channel._gaussian_spectra(g, count, n)) <= limit
+
+    # The BER and condition-ratio blocks draw and finish their trials in
+    # slices of channel._DRAW_ELEMENTS elements, so their peak does not grow
+    # with the block beyond a few per-trial floats (a floored block's spectra
+    # and error counts; its rejection rounds are capped too).  Drawn whole,
+    # these blocks peaked at 6.0, 96 and 24 MB.
+    _SLICED_LIMIT = 8 * 2**20
 
     @pytest.mark.parametrize("n, count, floor", [(4, 8192, 0.3), (64, 1024, 0.0)])
-    def test_ber_block_holds_its_draws_and_a_few_chunks(self, n, count, floor):
+    def test_ber_block_memory_does_not_grow_with_the_block(self, n, count, floor):
         g = RngStream(31).generator()
         variance = noise_var_from_snr(10.0, n).variance
-        # The channels, then per trial 2n int64 bits, n complex symbols, n
-        # complex noise entries and three int64 error counts.
-        whole = 16 * count * n * n + count * (48 * n + 24)
-        self._assert_bounded(
-            lambda: experiments._ber_block(g, n, variance, floor, count), whole
+        peak = self._peak_bytes(lambda: experiments._ber_block(g, n, variance, floor, count))
+        assert peak <= self._SLICED_LIMIT
+
+    def test_cond_ratio_block_memory_does_not_grow_with_the_block(self):
+        n, count = 64, 64
+        spectrum = channel._spectrum_profile(n, 15.0, 0.1, "geometric")
+        g = RngStream(32).generator()
+        peak = self._peak_bytes(
+            lambda: experiments._cond_ratio_block(g, n, spectrum, 0.1, 1.0, count)
         )
+        assert peak <= self._SLICED_LIMIT
+
+    # 8192 + 700 trials at N = 4: the second block ends in a partial slice of
+    # 700 - 512 = 188 trials, and two workers really start a pool.
+    @pytest.mark.parametrize("run", [
+        lambda workers: run_ber_sweep(4, [12.0], trials=8892, master_seed=4, workers=workers),
+        lambda workers: run_ber_sweep(
+            4, [12.0], sigma_min_floor=0.3, trials=8892, master_seed=4, workers=workers
+        ),
+        lambda workers: run_cond_ratio_sweep(4, 15.0, [0.3], trials=8892, master_seed=4,
+                                             workers=workers, interior="geometric"),
+    ], ids=["ber", "ber-floored", "condratio"])
+    def test_worker_count_invariant_with_a_partial_slice(self, run):
+        assert 8892 % 8192 % (channel._DRAW_ELEMENTS // 16) == 188
+        assert run(1).rows == run(2).rows
 
 
 _TOY_GRID = (-0.5, 0.0, 0.5)
