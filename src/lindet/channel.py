@@ -5,14 +5,16 @@ symmetric complex Gaussians (real and imaginary parts each with variance
 1/2).  Derived ensembles rescale each realization so the squared Frobenius
 norm equals ``N**2``, optionally reject draws whose smallest singular value
 falls below a floor, or synthesize a channel with a prescribed spectrum
-from independent Haar-random unitary factors.  Each has one kernel on
-stacks ``(count, n, n)``, with one check of its inputs: the public
-functions use stacks of one and the runners of :mod:`lindet.experiments`
-whole blocks or slices of them, so both give the same bits from the same
-draws.  A kernel draws for the stack it is given at once, then normalizes
-and decomposes it in chunks (:data:`CHUNK_ELEMENTS`), which bounds its
-dense working set; the BER and condition-ratio runners hand it slices of
-:data:`_DRAW_ELEMENTS` elements, so their draws are bounded too.
+from independent Haar-random unitary factors.  Each has one kernel, with
+one check of its inputs.  The sampling kernels work on stacks
+``(count, n, n)``: the public functions use stacks of one and the runners
+of :mod:`lindet.experiments` whole blocks or slices of them, so both give
+the same bits from the same draws.  A kernel draws for the stack it is
+given at once, then normalizes and decomposes it in chunks
+(:data:`CHUNK_ELEMENTS`), which bounds its dense working set; the BER
+runner hands it slices of :data:`_DRAW_ELEMENTS` elements, so its draws are
+bounded too.  The synthesis (:func:`_synthesized`) builds one matrix, as
+only the public functions call it.
 Where only the singular values of Gaussian channels matter, they come from
 the bidiagonal model of the same ensemble (:func:`_gaussian_bidiagonal`),
 which has the same law as decomposing a dense draw at a fraction of the
@@ -56,10 +58,10 @@ DEFAULT_MAX_ATTEMPTS = 10**6
 #: no output byte.
 CHUNK_ELEMENTS = 2**14
 
-#: Most matrix elements the BER and condition-ratio blocks draw at once: each
-#: draws and finishes its trials in slices of ``max(1, 2**13 // N**2)``, so
-#: its memory does not grow with the block.  It fixes the draws, so unlike
-#: :data:`CHUNK_ELEMENTS` it is part of the stream layout.
+#: Most matrix elements a BER block draws at once: it draws and finishes its
+#: trials in slices of ``max(1, 2**13 // N**2)``, so its memory does not grow
+#: with the block.  It fixes the draws, so unlike :data:`CHUNK_ELEMENTS` it
+#: is part of the stream layout.
 _DRAW_ELEMENTS = 2**13
 
 #: Most diagonal entries of candidate bidiagonals one floored rejection
@@ -216,11 +218,11 @@ def sample_floored(
     floor = _check_floor(n, sigma_min)
     g = rng.generator()
     if floor == 0.0:
-        h, s = _normalized_draw(g, 1, n)
+        [h], [s] = _normalized_draw(g, 1, n)
     else:
-        s = _floored_spectra(g, 1, n, floor, max_attempts)
-        h = _synthesized_stack(s, 1, g)
-    return ChannelRealization(matrix=h[0], spectrum=s[0], provenance="floored", sigma_min=floor)
+        [s] = _floored_spectra(g, 1, n, floor, max_attempts)
+        h = _synthesized(s, g)
+    return ChannelRealization(matrix=h, spectrum=s, provenance="floored", sigma_min=floor)
 
 
 def _check_floor(n: int, sigma_min: float) -> float:
@@ -437,17 +439,12 @@ def _spectrum_profile(n: int, cond: float, sigma_min: float, interior: str) -> n
     return s
 
 
-def _synthesized_stack(spectrum: np.ndarray, count: int, generator: np.random.Generator):
-    """Stack ``(count, n, n)`` of channels ``U diag(spectrum) V^H``.
-
-    ``spectrum`` is one spectrum ``(n,)`` for the whole stack or one per
-    matrix ``(count, n)``.  ``U`` and ``V`` are independent Haar unitaries:
-    all of the stack's ``U`` draws come first, then all of its ``V`` draws.
-    """
-    n = spectrum.shape[-1]
-    u = _phase_fixed_q(complex_gaussian((count, n, n), generator))
-    v = _phase_fixed_q(complex_gaussian((count, n, n), generator))
-    return (u * spectrum[..., None, :]) @ v.conj().swapaxes(-1, -2)
+def _synthesized(spectrum: np.ndarray, generator: np.random.Generator) -> np.ndarray:
+    """Channel ``U diag(spectrum) V^H`` with independent Haar ``U``, then ``V``."""
+    n = spectrum.shape[0]
+    u = _phase_fixed_q(complex_gaussian((n, n), generator))
+    v = _phase_fixed_q(complex_gaussian((n, n), generator))
+    return (u * spectrum) @ v.conj().T
 
 
 def _check_spectrum(cond: float, sigma_mins) -> tuple[float, tuple[float, ...]]:
@@ -490,7 +487,7 @@ def synthesize_spectrum(
     c, (smin,) = _check_spectrum(cond, [sigma_min])
     s = _spectrum_profile(n, c, smin, interior)
     return ChannelRealization(
-        matrix=_synthesized_stack(s, 1, rng.generator())[0],
+        matrix=_synthesized(s, rng.generator()),
         spectrum=s,
         provenance="synthesized",
         sigma_min=smin,

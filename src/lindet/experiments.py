@@ -1,8 +1,8 @@
 """Seeded, parallelizable Monte Carlo experiment drivers.
 
-Each runner produces a :class:`ResultTable` of tagged rows with means and
-standard errors.  Trials are partitioned into blocks whose size depends
-only on the matrix dimension N: ``min(8192, BLOCK_ELEMENTS // N**2)``
+Each Monte Carlo runner produces a :class:`ResultTable` of tagged rows
+with means and standard errors.  Trials are partitioned into blocks whose
+size depends only on the matrix dimension N: ``min(8192, BLOCK_ELEMENTS // N**2)``
 matrices, and at least one, so no block holds much more than
 ``BLOCK_ELEMENTS`` matrix elements.  Every block derives its own random
 substream from ``(master_seed, experiment tag, grid-point index, block
@@ -18,10 +18,10 @@ trial; their dense work (scattering, normalizing, decomposing) then runs in
 chunks of at most :data:`lindet.channel.CHUNK_ELEMENTS` elements.  No
 matrix's arithmetic depends on its neighbours, so the chunk size moves no
 output byte: tables record ``block_elements`` and not the chunk budget.
-The BER and condition-ratio kernels draw dense matrices, so they draw and
-finish their trials in slices of at most ``lindet.channel._DRAW_ELEMENTS``
-elements, each slice's draws in one order; the slice is part of the stream
-layout, and a worker holds a few slices, not a copy of the block.
+The BER kernel draws dense matrices, so it draws and finishes its trials
+in slices of at most ``lindet.channel._DRAW_ELEMENTS`` elements, each
+slice's draws in one order; the slice is part of the stream layout, and a
+worker holds a few slices, not a copy of the block.
 With ``workers > 1`` each grid point's blocks run in a process pool whose
 workers are forked after the parent has loaded every module a kernel needs
 (:func:`_run_blocks`), so a worker does only block work.  A kernel must
@@ -32,16 +32,13 @@ which simulate the ``r = Hx + n`` transmission and call the maths of
 :mod:`lindet.channel`, :mod:`lindet.detection` and :mod:`lindet.analysis`
 on stacks; a floored BER block applies its factor-form filters itself.
 Every Monte Carlo estimate in lindet runs here, the distortion-SNR oracle
-included.
+included.  The condition-ratio sweep is not one: its columns are closed
+forms of a prescribed spectrum, so it draws nothing.
 
-Stream layout 6 (``STREAM_LAYOUT``, recorded in every table) draws as
-layout 5 did except for BER and condition-ratio blocks of more than one
-slice, which now draw slice by slice, and floored BER blocks, whose
-rejection rounds after the first acceptance are sized from the
-acceptance seen so far.  The table1, gain and cdf runners read only
-singular values, so their blocks draw the bidiagonal Gaussian model
-(:func:`lindet.channel._gaussian_bidiagonal`); the unfloored BER and the
-condition-ratio runners draw channel matrices.  table1 and gain decompose
+Under stream layout 6 (``STREAM_LAYOUT``, recorded in every table) the
+table1, gain and cdf runners, which read only singular values, draw the
+bidiagonal Gaussian model (:func:`lindet.channel._gaussian_bidiagonal`);
+the unfloored BER runner draws channel matrices.  table1 and gain decompose
 each bidiagonal.  cdf does not: a cdf row counts the trials whose
 sigma_min is strictly below its grid point, decided by Sturm counts
 (:func:`lindet.channel._sigma_min_below`), and a tail row counts the
@@ -50,8 +47,10 @@ sigma_min equals x, which has probability zero, so it gives the same
 counts.  A floored BER block takes its spectra, O(N) floats a trial, for
 the whole block from the rejection kernel of
 :func:`lindet.channel.sample_floored`, which rejects on the same Sturm
-counts, before its first slice; it filters ``H = diag(s) V^H`` with a
-Haar ``V`` in factor form: CN noise does not see H's left unitary factor.
+counts, before its first slice, and sizes its rejection rounds after the
+first acceptance from the acceptance seen so far; it filters
+``H = diag(s) V^H`` with a Haar ``V`` in factor form: CN noise does not see
+H's left unitary factor.
 
 Two receive-SNR conventions coexist and are recorded per table:
 
@@ -75,7 +74,6 @@ import numpy as np
 from . import linalg
 from ._version import __version__
 from .analysis import (
-    _filter_conds,
     _gain_db,
     _mmse_snr_terms,
     _spectral_conds,
@@ -100,7 +98,6 @@ from .channel import (
     _phase_fixed_q,
     _sigma_min_below,
     _spectrum_profile,
-    _synthesized_stack,
     complex_gaussian,
 )
 from .detection import FilterMatrix, _filters, qpsk_modulate, qpsk_slice
@@ -122,7 +119,6 @@ _TAG_GAIN = 2
 _TAG_CDF = 3
 _TAG_EDELMAN = 4
 _TAG_BER = 5
-_TAG_CONDRATIO = 6
 
 CONVENTION_RECEIVE = "receive_n_over_sigma2"
 CONVENTION_INVERSE = "inverse_sigma2"
@@ -630,15 +626,6 @@ def empirical_distortion_snr(
 # ---------------------------------------------------------------------------
 
 
-def _cond_ratio_block(g, n, spectrum, variance, ratio, count):
-    deviation = np.empty(count)
-    for c in _chunks(count, n, _DRAW_ELEMENTS):
-        h = _synthesized_stack(spectrum, c.stop - c.start, g)
-        cond_zf, cond_mmse = _filter_conds(h, variance)
-        deviation[c] = cond_mmse / cond_zf / ratio - 1.0
-    return (deviation,)
-
-
 def run_cond_ratio_sweep(
     n: int = 4,
     cond_target: float = 15.0,
@@ -653,28 +640,23 @@ def run_cond_ratio_sweep(
 
     Channels have prescribed condition number ``cond_target`` and smallest
     singular value swept over ``sigma_min_grid``; the noise variance follows
-    the ``1 / variance`` dB convention of this experiment.  The exact and
-    approximate ratios are closed forms of the prescribed spectrum;
-    ``rms_rel_dev`` is the RMS of ``built / closed - 1`` for the ratio
-    over ``trials`` synthesized channels, a check of the closed form.
+    the ``1 / variance`` dB convention of this experiment.  Every column is
+    a closed form of the prescribed spectrum, which ``U`` and ``V`` do not
+    enter, so the sweep draws nothing: ``trials``, ``master_seed`` and
+    ``workers`` are checked like every runner's and ``trials`` and
+    ``master_seed`` are stamped on the table, but they change no value.
     """
     (n,), trials, master_seed, workers = _check_run((n,), trials, master_seed, workers)
     cond_target, sigma_min_grid = _check_spectrum(cond_target, sigma_min_grid)
     noise = noise_var_from_inverse_snr(snr_db)
     rows = []
-    for gi, sigma_min in enumerate(sigma_min_grid):
+    for sigma_min in sigma_min_grid:
         spectrum = _spectrum_profile(n, cond_target, sigma_min, interior)
         cond_zf, cond_mmse = _spectral_conds(spectrum, 0.0, noise.variance).tolist()
-        ratio = cond_mmse / cond_zf
-        [(count, _, total_sq)] = _reduce(
-            _cond_ratio_block, master_seed, (_TAG_CONDRATIO, gi),
-            (n, spectrum, noise.variance, ratio), trials, workers,
-        )
         rows.append(
             {
                 "sigma_min": sigma_min,
-                "mean_exact_ratio": ratio,
-                "rms_rel_dev": math.sqrt(total_sq / count),
+                "mean_exact_ratio": cond_mmse / cond_zf,
                 "approx_ratio": cond_ratio_approx(cond_target * sigma_min, sigma_min, noise),
                 "mean_cond_w_zf": cond_zf,
                 "mean_cond_w_mmse": cond_mmse,

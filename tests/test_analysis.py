@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lindet import analysis, detection, experiments, linalg
+from lindet import analysis, channel, detection, experiments, linalg
 from lindet.channel import (
     NoiseModel,
     RngStream,
@@ -134,19 +134,34 @@ class TestCondRatioExact:
         assert report.cond_w_mmse == cond_mmse
         assert report.exact_ratio == cond_mmse / cond_zf
 
-    @pytest.mark.parametrize("scale", [None, *GUARD_SCALES_IN_RANGE])
-    def test_spectral_kernel_matches_the_built_filters(self, scale):
+    @pytest.mark.parametrize(
+        "case",
+        [None, *GUARD_SCALES_IN_RANGE, *[
+            (interior, n, sigma_min)
+            for interior in ("top", "geometric") for n in (4, 64) for sigma_min in (0.05, 0.3, 2.0)
+        ]],
+        ids=lambda case: "-".join(map(str, case)) if isinstance(case, tuple) else None,
+    )
+    def test_spectral_kernel_matches_the_built_filters(self, case):
         # the closed form against the SVD of the filters it describes, over
-        # random channels and at the extreme scales the guard lets through
+        # random channels, at the extreme scales the guard lets through, and
+        # over channels U diag(s) V^H synthesized on condratio's prescribed
+        # spectra, whose closed form is taken on s itself
         g = RngStream(68).generator()
-        if scale is None:
-            h = complex_gaussian((50, 5, 5), g)
-            variance = g.uniform(1e-3, 5.0, size=50)
+        if isinstance(case, tuple):
+            interior, n, sigma_min = case
+            spectrum = channel._spectrum_profile(n, 15.0, sigma_min, interior)
+            h = np.stack([channel._synthesized(spectrum, g) for _ in range(16)])
+            s, variance, rtol = np.broadcast_to(spectrum, (16, n)), 0.1, 1e-12
         else:
-            h, variance = scale * TestGuardScaleLimits.H0[None], 0.1
-        s = np.linalg.svd(h, compute_uv=False)
+            if case is None:
+                h = complex_gaussian((50, 5, 5), g)
+                variance = g.uniform(1e-3, 5.0, size=50)
+            else:
+                h, variance = case * TestGuardScaleLimits.H0[None], 0.1
+            s, rtol = np.linalg.svd(h, compute_uv=False), 1e-9
         closed = analysis._spectral_conds(s, 0.0, variance)
-        np.testing.assert_allclose(analysis._filter_conds(h, variance), closed, rtol=1e-9)
+        np.testing.assert_allclose(analysis._filter_conds(h, variance), closed, rtol=rtol)
 
     @pytest.mark.parametrize(
         "h, error",

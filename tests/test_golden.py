@@ -1,130 +1,25 @@
 """Golden output gate: the bytes of every subcommand are pinned by sha256.
 
-Each CLI case runs 9000 trials, so every grid point spans two blocks (8192
-and 808 trials) and ``--workers 2`` really starts a process pool; CSV bytes
-must be equal at one and two workers.  A library case pins the public
-scalar API bit for bit.
-
-The ("gain", "json") and ("library", "bytes") hashes were recorded again
-when the MMSE SNR denominator term ``N b - a`` became a cancellation-free
-sum of squares; the gain CSV rounds to nine digits and did not move.
-
-The ("props", "csv") and ("library", "bytes") hashes were recorded again
-when ``normalize`` and ``sample_floored`` moved onto the runners'
-normalizer, a norm over the last two axes of a stack, which rounds
-differently from the flat 2-D norm they used before.  The props table
-moved only in the ``power_normalization`` detail (worst relative
-deviation 6.661e-16 instead of 8.882e-16); the twelve CLI hashes did not
-move.
-
-The ("library", "bytes") hash was recorded again when the public
-``zf_filter`` and ``mmse_filter`` moved onto the runners' filter kernel,
-which solves the Gram systems where the public filters used to invert the
-Gram matrix; the two round differently in the last bits, which moves the
-distortion-oracle SNR computed with ``zf_filter``.  In the same recording
-the stream gained ``mmse_filter`` and the four ``cond_ratio_exact``
-fields, which now share the runners' kernels too.  The twelve CLI hashes
-and the props hash did not move.
-
-The ("props", "csv") hash was recorded again when the invariant suite
-moved onto stacks and the runners' kernels: each check draws the
-dimensions of all its samples first and then one stack per dimension, so
-the checks see other matrices, and ``mmse_zero_noise_equals_zf`` compares
-the zero-variance filter with ``np.linalg.inv`` instead of with itself.
-Names, sample counts, tolerances and pass rules did not change; only the
-worst-case figures in the detail column moved.  The twelve CLI hashes and
-the library hash did not move.
-
-All fourteen hashes were recorded again for stream layout 2.  The table1,
-gain and cdf runners now draw singular values from the bidiagonal
-Gaussian model instead of decomposing dense draws, which changes their
-draws and data rows; every table's metadata gained ``stream_layout`` and
-``block_elements``, which changes the ``#`` line of every CSV (and the
-condratio CSV inside the library stream) and the metadata of every JSON.
-The ber, ber-floored and condratio data rows are byte-identical to
-layout 1: at N <= 22 the element budget keeps 8192-matrix blocks.  In the
-same recording the props details of ``snr_mmse_dominates_snr_zf``,
-``cond_ratio_bounded_by_one`` and ``cdf_dominance`` moved: their running
-worst now starts at -inf, and the CDF deficit is taken only where its
-standard error is nonzero, so they report the sampled worst instead of
-0.  Pass rules did not change.
-
-The ("props", "csv") hash was recorded again when
-``mmse_abc_cauchy_schwarz`` began to report its worst ``b - a`` over the
-N >= 2 samples only: at N = 1 ``a == b`` exactly, so the figure read
-0.000e+00 at every seed that samples N = 1.  It now reads -1.460e-06 at
-seed 0; the pass rule still covers every sample.  Only that detail moved;
-the other thirteen hashes did not.
-
-All fourteen hashes were recorded again for stream layout 3, which
-changed no draw.  ``condratio`` now reports the filters' condition numbers
-and their ratio from the explicit formulas on the prescribed spectrum,
-and ``se_exact_ratio`` gave way to ``rms_rel_dev`` in the same column, so
-its data rows moved; ``cond_ratio_exact`` evaluates the same formulas on
-the channel's singular values, which moves its four fields in the library
-stream; the props table lost three NumPy-only checks, gained
-``filter_conditioning_closed_form`` and ``approx_ratio_exact_above_sqrt_v``,
-and ``distortion_oracle`` draws 64 replicates of 6250 trials.  The table1,
-gain, cdf, ber and ber-floored data rows are byte-identical to layout 2;
-only the ``stream_layout`` field of their metadata moved.  The five
-``GOLDEN_PLOTS`` hashes did not move.
-
-The ("props", "csv") and ("library", "bytes") hashes were recorded again
-when ``empirical_distortion_snr`` moved onto the runners' block driver:
-block ``i`` draws from its own stream ``rng.key + (i,)`` instead of every
-block drawing from ``rng`` in turn, and the signal energy is ``N`` per
-trial instead of a sum of ``|x|^2``.  In the library stream only the
-oracle's SNR moved (14.051695772509698 to 14.077555038194088); the Haar
-factor, which the stream now builds as ``_phase_fixed_q`` of a Gaussian
-draw since ``haar_unitary`` is gone, kept its bits.  In the props table
-only the ``distortion_oracle`` detail moved: one run of 400000 trials per
-channel with a delta-method SE replaced 64 replicates, and the stated
-false-alarm rate is now the union bound, at most 0.81%.  The twelve CLI
-hashes and the five ``GOLDEN_PLOTS`` hashes did not move.
-
-All fourteen hashes were recorded again for stream layout 4, which
-changed the draws of floored channels only.  A floored BER block and
-``sample_floored`` with a floor above 0 now draw candidate bidiagonals of
-the normalized complex model, reject them on one Sturm count and
-decompose only the accepted ones; the BER block then draws a Haar ``V``
-and filters ``diag(s) V^H`` in factor form, and ``sample_floored``
-returns ``U diag(s) V^H``.  So only the ber-floored data rows and the
-``sample_floored`` matrix of the library stream moved.  The table1, gain,
-cdf, unfloored ber and condratio data rows and the props rows are
-byte-identical to layout 3; only the ``stream_layout`` field of their
-metadata moved, in the library stream's condratio CSV too.  The five
-``GOLDEN_PLOTS`` hashes did not move.
-
-All fourteen hashes were recorded again for stream layout 5, which
-changed the draws of floored BER blocks of more than one trial only.  A
-floored block's slots now take the accepted candidates of one stream in
-turn, where each slot had its own batch of candidates a round.  So only
-the ber-floored data rows moved.  The table1, gain, cdf, unfloored ber
-and condratio data rows and the props rows are byte-identical to layout
-4; only the ``stream_layout`` field of their metadata moved, in the
-library stream's condratio CSV too.  The library stream's arrays,
-``sample_floored`` included, are byte-identical: a stack of one still
-draws rounds of 1, 2, 4, ... candidates.  The five ``GOLDEN_PLOTS``
-hashes did not move.
-
-All fourteen hashes were recorded again for stream layout 6, which
-changed the draws of BER and condition-ratio blocks of more than one
-slice.  These blocks now draw and finish their trials in slices of
-``max(1, 2**13 // N**2)``: each slice draws its channels (or Haar
-factors), then its bits and noise.  A floored block's rejection rounds
-after the first acceptance are sized from the acceptance seen so far.
-So the ber, ber-floored and condratio data rows moved; in condratio only
-``rms_rel_dev``, as the other columns are closed forms.  The table1,
-gain, cdf and props rows are byte-identical to layout 5; only the
-``stream_layout`` field of their metadata moved.  The library stream's
-arrays, ``sample_floored`` and ``synthesize_spectrum`` included, are
-byte-identical, as stacks of one keep their draws; its hash moved with
-its condratio CSV, whose ``stream_layout`` and ``rms_rel_dev`` moved.
-The five ``GOLDEN_PLOTS`` hashes did not move.
-
+Each CLI case runs 9000 trials, so every grid point of a Monte Carlo
+runner spans two blocks (8192 and 808 trials) and ``--workers 2`` really
+starts a process pool; CSV bytes must be equal at one and two workers.
 ``GOLDEN_PLOTS`` pins the gnuplot script that ``--emit-plot`` writes next
 to each single-worker CSV, keyed by experiment; the ber-floored script is
-the ber script.
+the ber script.  A library case pins the public scalar API bit for bit,
+followed by one condratio CSV.
+
+Record a hash again only when output bytes change on purpose: a new stream
+layout (``STREAM_LAYOUT``), or a change to a table's columns, rounding or
+metadata.  Record only the hashes that moved, show with a scratch dump
+which rows moved, and give the reason here and in CHANGES.md, which keeps
+the history of every earlier recording.  A refactor records nothing.
+
+Last recording: the ("condratio", "csv"), ("condratio", "json"),
+``GOLDEN_PLOTS["condratio"]`` and ("library", "bytes") hashes, when
+condratio dropped its ``rms_rel_dev`` column and stopped drawing.  Every
+other condratio column is byte-identical; the approximation moved from
+gnuplot column 4 to 3.  The library stream's arrays are byte-identical,
+and only its condratio CSV moved.  The other hashes did not move.
 
 The hashes were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
 (scipy-openblas, Haswell kernels), CPython 3.11, x86_64.  Another numpy
@@ -178,10 +73,10 @@ GOLDEN = {
     ("ber", "json"): "d2751dec1ab7220759439b31a9cd47e23651c5687200ae33d8f44353008a05e3",
     ("ber-floored", "csv"): "1283dd34abe48be66a9810ab83f93772ba3c072cc75b967fefa60d785ac6bf8b",
     ("ber-floored", "json"): "25aa0692109f25779a492ea24a33ce71a2c31ee1c51592b586d4e6f5fc71708a",
-    ("condratio", "csv"): "1f71eb69a3db0a8c6a082cf0fd4448b57ca5d465b131fc1ebf0b69a57a130eaf",
-    ("condratio", "json"): "f155765a62289cbb6d49eb7aeab7a4a9541f2c4e102fd0e9a580fa5b187752fb",
+    ("condratio", "csv"): "082289e642708833f584c3ea6d88d79b93a891ff3047aaca0b5a27203fb75061",
+    ("condratio", "json"): "b65897894567ceebde8b363b7ae739b45ce1fe3a861cb5f4c451f28ae9f94517",
     ("props", "csv"): "5ea34aa85f1053676ceaa34bb8d177ac263a181031d645349fd0a8d44c5e83e4",
-    ("library", "bytes"): "68af8bcdf2e94c0c8c0ebed3c317072fcaf84d1d2dd29d57d1adf609a21c9fee",
+    ("library", "bytes"): "08bb1c22850f40195939cbb264443a060f293bdc136b6134ea59dec6a2219436",
 }
 
 GOLDEN_PLOTS = {
@@ -189,7 +84,7 @@ GOLDEN_PLOTS = {
     "gain": "6b640db834d191eee551538c2bd9648379eda22cfc1e7b643ef440ac2cd948c6",
     "cdf": "415971135386d3f91d48ee09d3e5051badfa2c694c660fc17099c9f59b61b2cc",
     "ber": "f6183101c1e7559e16eef98db8e93faaad60c1407aa9c3d92153fd55a18bfa86",
-    "condratio": "c231fe316b1f2db8e1d6344a8f4f31c57efaa164a6770c013f14062618babb72",
+    "condratio": "2b8b391ed948da1700104c0aa317456ce60c5f8a638269ecd54cdc40eaa45673",
 }
 
 
