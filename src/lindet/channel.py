@@ -270,8 +270,10 @@ def _gaussian_bidiagonal(g: np.random.Generator, count: int, n: int, beta: int):
     Edelman 2002): all diagonals are drawn first, then all superdiagonals.
     """
     i = np.arange(n)
-    d = np.sqrt(g.chisquare(beta * (n - i), size=(count, n)) / beta)
-    e = np.sqrt(g.chisquare(beta * (n - 1 - i[:-1]), size=(count, n - 1)) / beta)
+    d = g.chisquare(beta * (n - i), size=(count, n))
+    e = g.chisquare(beta * (n - 1 - i[:-1]), size=(count, n - 1))
+    for x in (d, e):
+        np.sqrt(np.divide(x, beta, out=x), out=x)
     return d, e
 
 
@@ -283,7 +285,7 @@ def _normalized_bidiagonal(g: np.random.Generator, count: int, n: int):
     """
     d, e = _gaussian_bidiagonal(g, count, n, 2)
     scale = (n / np.sqrt(np.sum(d * d, axis=1) + np.sum(e * e, axis=1)))[:, None]
-    return d * scale, e * scale
+    return np.multiply(d, scale, out=d), np.multiply(e, scale, out=e)
 
 
 def _gaussian_spectra(g: np.random.Generator, count: int, n: int) -> np.ndarray:

@@ -393,7 +393,9 @@ def run_cli(argv) -> int:
             return _report_props(result, kwargs["master_seed"], opts)
         _emit(result, opts)
         return 0
-    except (LindetError, MemoryError, OSError, OverflowError, ValueError) as exc:
+    # RuntimeError covers a pool whose worker died (BrokenProcessPool), say
+    # killed for memory, without importing concurrent.futures at start-up.
+    except (LindetError, MemoryError, OSError, OverflowError, RuntimeError, ValueError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

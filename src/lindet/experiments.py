@@ -26,7 +26,9 @@ With ``workers > 1`` each grid point's blocks run in a process pool whose
 workers are forked after the parent has loaded every module a kernel needs
 (:func:`_run_blocks`), so a worker does only block work.  A kernel must
 therefore not import lazily, nor call a NumPy function that does (such as
-``np.unique``, which loads ``numpy.ma``).
+``np.unique``, which loads ``numpy.ma``).  The pool class is the
+module-level name ``ProcessPoolExecutor``, which tests and the bench
+tracer replace; it is ``None`` until the first pool starts.
 This module holds that scheduling and reduction, and the block kernels,
 which simulate the ``r = Hx + n`` transmission and call the maths of
 :mod:`lindet.channel`, :mod:`lindet.detection` and :mod:`lindet.analysis`
@@ -66,7 +68,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,14 +198,23 @@ def _block_sizes(trials: int, block: int) -> list[int]:
     return sizes
 
 
+#: The pool class :func:`_run_blocks` starts; ``None`` until its first pool.
+ProcessPoolExecutor = None
+
+
 def _run_blocks(worker, tasks: list, workers: int) -> list:
     """Run block tasks, preserving task order in the returned partials.
 
     A pool never has more processes than tasks or than CPUs this process
     may run on.  Its workers are forked after this process has loaded
     every module a block kernel needs, so that a worker does only block
-    work; a kernel must therefore not import anything lazily.
+    work; a kernel must therefore not import anything lazily.  The pool
+    class is the module-level :data:`ProcessPoolExecutor`, the seam that
+    tests and the bench tracer replace.  It is ``None`` until the first
+    pool starts and imports it, so ``import lindet`` and runs without a pool
+    never load ``multiprocessing``; a replacement is used as it is.
     """
+    global ProcessPoolExecutor
     if workers <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
     try:
@@ -214,9 +224,11 @@ def _run_blocks(worker, tasks: list, workers: int) -> list:
     # NumPy 2 loads numpy.random on first use, and this process draws
     # nothing before the fork, so without this each worker would import its
     # own copy (about 13 ms a worker).  Here and not at module level, where
-    # it slowed every CLI start-up, pooled or not.
+    # it slowed every CLI start-up, pooled or not; the pool stack likewise.
     import numpy.random  # noqa: F401
 
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks), cpus)) as pool:
         return list(pool.map(worker, tasks))
 

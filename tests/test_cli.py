@@ -1,5 +1,6 @@
 import inspect
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -22,6 +23,11 @@ from lindet.properties import PropertyResult
 
 def run(argv):
     return cli.run_cli(argv)
+
+
+def _die(*args):
+    """A block kernel whose worker process dies, as one killed for memory does."""
+    os._exit(9)
 
 
 class TestGridParsing:
@@ -184,6 +190,18 @@ class TestExitCodes:
         assert run(["table1", "--dims", "2"]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {str(exc) or 'MemoryError'}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.skipif(
+        multiprocessing.get_all_start_methods()[0] != "fork" or len(os.sched_getaffinity(0)) < 2,
+        reason="needs 2 usable CPUs and the fork start method",
+    )
+    def test_dead_pool_worker_is_runtime_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(experiments, "_gain_block", _die)
+        assert run(["gain", "--dims", "4", "--snr", "0", "--trials", "9000", "--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
 

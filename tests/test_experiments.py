@@ -1,3 +1,4 @@
+import itertools
 import math
 import multiprocessing
 import os
@@ -384,6 +385,78 @@ class TestRunBerSweep:
         assert zf["ber"] < zf_unfloored["ber"]
 
 
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _q(x):
+    """Gaussian tail ``Q(x) = erfc(x / sqrt(2)) / 2``, elementwise."""
+    return 0.5 * _ERFC(x / math.sqrt(2.0)).astype(np.float64)
+
+
+def _dense_channels(g, count, n, floor):
+    """``count`` normalized CN(0, 1) channels with sigma_min >= ``floor``, by dense SVDs."""
+    kept = []
+    while sum(map(len, kept)) < count:
+        z = g.standard_normal((8192, n, n)) + 1j * g.standard_normal((8192, n, n))
+        h = z * (n / np.linalg.norm(z, axis=(1, 2)))[:, None, None]
+        kept.append(h[np.linalg.svd(h, compute_uv=False)[:, -1] >= floor])
+    return np.concatenate(kept)[:count]
+
+
+def _conditional_ber(h, v):
+    """Exact ZF and MMSE QPSK bit error rates of each channel of the stack ``h``.
+
+    With ``M = H^H H`` and CN(0, v) noise, each bit of stream k errs under
+    ZF with probability ``Q(1 / sqrt(v [M^-1]_kk))``.  Under MMSE,
+    ``A = (M + vI)^-1 M`` is Hermitian and the real part of stream k is
+    ``A_kk Re x_k`` plus the interference ``sum_{j != k} (Re A_kj Re x_j -
+    Im A_kj Im x_j)`` plus Gaussian noise of variance ``(v / 2) [(M + vI)^-1
+    M (M + vI)^-1]_kk``; its bit error is the mean of Q over the
+    ``2^(2N - 2)`` equally likely interference signs, and the imaginary bit
+    has the same law.
+    """
+    count, n, _ = h.shape
+    gram = h.conj().swapaxes(1, 2) @ h
+    zf = _q(1.0 / np.sqrt(v * np.diagonal(np.linalg.inv(gram), axis1=1, axis2=2).real))
+    r = np.linalg.inv(gram + v * np.eye(n))
+    a, c = r @ gram, r @ gram @ r
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=2 * (n - 1)))).T
+    mmse = np.empty((count, n))
+    for k in range(n):
+        others = [j for j in range(n) if j != k]
+        interference = np.concatenate([a[:, k, others].real, a[:, k, others].imag], axis=1)
+        margin = (a[:, k, k, None].real + interference @ signs) / math.sqrt(2.0)
+        mmse[:, k] = _q(margin / np.sqrt(0.5 * v * c[:, k, k, None].real)).mean(axis=1)
+    return zf.mean(axis=1), mmse.mean(axis=1)
+
+
+class TestBerLevel:
+    """The BER kernel's level against the exact conditional BER of known channels.
+
+    Monte Carlo of ``_ber_block`` (8192 transmissions) is compared with the
+    conditional BER averaged over 4096 independent dense channels of the
+    same law, floored by SVD.  Each of the 16 comparisons allows 4 combined
+    standard errors, which a correct kernel exceeds with probability
+    6.3e-5, so a seed fails about once in a thousand.  Doubling the noise
+    power, in ``_transmit`` or in the unfloored branch alone, moves the
+    unfloored rows by tens of standard errors.
+    """
+
+    @pytest.mark.parametrize("floor", [0.0, 0.3])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_ber_matches_the_conditional_ber(self, n, floor):
+        for snr in (5.0, 15.0):
+            v = noise_var_from_snr(snr, n).variance
+            key = (n, int(10 * floor), int(snr))
+            errors = experiments._ber_block(RngStream(31, key).generator(), n, v, floor, 8192)
+            h = _dense_channels(RngStream(32, key).generator(), 4096, n, floor)
+            for k, exact in zip(errors, _conditional_ber(h, v)):
+                (mc, se_mc), (ce, se_ce) = (
+                    (np.mean(x), np.std(x, ddof=1) / math.sqrt(x.size)) for x in (k / (2 * n), exact)
+                )
+                assert abs(mc - ce) <= 4 * math.hypot(se_mc, se_ce), (snr, mc, ce)
+
+
 class TestRunCondRatioSweep:
     def test_fig5_operating_point(self, condratio_table):
         row = condratio_table.select(sigma_min=0.1)[0]
@@ -481,6 +554,29 @@ print(sorted(set().union(*ex._run_blocks(probe, tasks, workers=2))))
 """
 
 
+# Runs lindet without a pool, then with one, in one process, and prints
+# whether the pool stack was loaded after each run.
+_POOL_STACK_PROBE = """
+import sys
+
+import lindet, lindet.cli
+
+loaded = []
+
+
+def run(*argv):
+    assert lindet.cli.run_cli(argv) == 0
+    loaded.append("multiprocessing" in sys.modules or "concurrent.futures.process" in sys.modules)
+
+
+gain = ("gain", "--dims", "4", "--snr", "0", "--trials", "9000")
+run("ber", "--n", "4", "--snr", "0", "--sigma-min", "0.3", "--trials", "100", "--workers", "1")
+run(*gain, "--workers", "1", "--out", "w1.csv")
+run(*gain, "--workers", "2", "--out", "w2.csv")
+print(loaded)
+"""
+
+
 class TestRunBlocks:
     @pytest.fixture
     def pool(self, monkeypatch):
@@ -527,6 +623,21 @@ class TestRunBlocks:
             check=True,
         )
         assert out.stdout.strip() == "[]", out.stdout
+
+    def test_only_a_pool_loads_the_pool_stack(self, tmp_path):
+        src = str(Path(experiments.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _POOL_STACK_PROBE],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert out.stdout.splitlines()[-1] == "[False, False, True]", out.stdout
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
 
 class TestBlockRule:
