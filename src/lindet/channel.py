@@ -8,13 +8,11 @@ falls below a floor, or synthesize a channel with a prescribed spectrum
 from independent Haar-random unitary factors.  Each has one kernel, with
 one check of its inputs.  The sampling kernels work on stacks
 ``(count, n, n)``: the public functions use stacks of one and the runners
-of :mod:`lindet.experiments` whole blocks or slices of them, so both give
-the same bits from the same draws.  A kernel draws for the stack it is
-given at once, then normalizes and decomposes it in chunks
-(:data:`CHUNK_ELEMENTS`), which bounds its dense working set; the BER
-runner hands it slices of :data:`_DRAW_ELEMENTS` elements, so its draws are
-bounded too.  The synthesis (:func:`_synthesized`) builds one matrix, as
-only the public functions call it.
+of :mod:`lindet.experiments` whole blocks or slices of them
+(:func:`_slices`; README, "Blocks and slices"), so both give the same bits
+from the same draws.  No matrix's arithmetic depends on the rest of its
+stack.  The synthesis (:func:`_synthesized`) builds one matrix, as only
+the public functions call it.
 Where only the singular values of Gaussian channels matter, they come from
 the bidiagonal model of the same ensemble (:func:`_gaussian_bidiagonal`),
 which has the same law as decomposing a dense draw at a fraction of the
@@ -52,29 +50,19 @@ from .exceptions import (
 #: Default rejection budget for floored sampling.
 DEFAULT_MAX_ATTEMPTS = 10**6
 
-#: Most matrix elements a stacked kernel's dense stage holds at once.  The
-#: normalizing and decomposing of drawn stacks run chunk by chunk, and each
-#: matrix's arithmetic is independent of the others, so the chunk size moves
-#: no output byte.
-CHUNK_ELEMENTS = 2**14
-
-#: Most matrix elements a BER block draws at once: it draws and finishes its
-#: trials in slices of ``max(1, 2**13 // N**2)``, so its memory does not grow
-#: with the block.  It fixes the draws, so unlike :data:`CHUNK_ELEMENTS` it
-#: is part of the stream layout.
-_DRAW_ELEMENTS = 2**13
+#: Most matrix elements a kernel holds densely at once: it cuts its stack
+#: into slices of ``max(1, 2**13 // N**2)`` matrices (:func:`_slices`).  The
+#: slice fixes the BER draws, so it is part of the stream layout.
+_SLICE_ELEMENTS = 2**13
 
 #: Most diagonal entries of candidate bidiagonals one floored rejection
 #: round draws: 8192 candidates at N = 4.  Part of the stream layout too.
 _ROUND_ELEMENTS = 2**15
 
 
-def _chunks(count: int, n: int, elements: int | None = None) -> list[slice]:
-    """Slices of ``range(count)`` of at most ``max(1, elements // n**2)`` matrices.
-
-    ``elements`` defaults to :data:`CHUNK_ELEMENTS`.
-    """
-    step = max(1, (CHUNK_ELEMENTS if elements is None else elements) // (n * n))
+def _slices(count: int, n: int) -> list[slice]:
+    """Slices of ``range(count)`` of at most ``max(1, _SLICE_ELEMENTS // n**2)`` matrices."""
+    step = max(1, _SLICE_ELEMENTS // (n * n))
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
@@ -206,6 +194,9 @@ def sample_floored(
 
     Raises
     ------
+    ValueError
+        If the floor is negative or not finite, or ``max_attempts`` is not
+        an integer >= 1; before any draw.
     SamplingExhaustedError
         At once, with ``attempts == 0``, if the floor is ``sqrt(n)`` or more,
         which no normalized channel clears; else after ``max_attempts``
@@ -213,6 +204,7 @@ def sample_floored(
     """
     if n < 1:
         raise DimensionError(f"dimension must be >= 1, got {n}")
+    max_attempts = linalg._integer("max_attempts", max_attempts)
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     floor = _check_floor(n, sigma_min)
@@ -246,17 +238,9 @@ def _normalized(m: np.ndarray) -> np.ndarray:
 
 
 def _normalized_draw(g: np.random.Generator, count: int, n: int):
-    """Normalized CN(0, 1) stack ``(count, n, n)`` and its descending spectra.
-
-    The stack is drawn whole, then normalized in place and decomposed chunk
-    by chunk (:func:`_chunks`).
-    """
-    h = complex_gaussian((count, n, n), g)
-    s = np.empty((count, n))
-    for c in _chunks(count, n):
-        h[c] = _normalized(h[c])
-        s[c] = np.linalg.svd(h[c], compute_uv=False)
-    return h, s
+    """Normalized CN(0, 1) stack ``(count, n, n)`` and its descending spectra."""
+    h = _normalized(complex_gaussian((count, n, n), g))
+    return h, np.linalg.svd(h, compute_uv=False)
 
 
 def _gaussian_bidiagonal(g: np.random.Generator, count: int, n: int, beta: int):
@@ -296,19 +280,17 @@ def _gaussian_spectra(g: np.random.Generator, count: int, n: int) -> np.ndarray:
 def _bidiagonal_svd(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Descending singular values ``(count, n)`` of B rescaled to squared Frobenius norm N^2.
 
-    Each chunk (:func:`_chunks`) of the diagonals ``d (count, n)`` and
-    superdiagonals ``e (count, n - 1)`` is scattered into one reused dense
-    buffer, rescaled and decomposed, so the dense stage holds one chunk, not
-    the whole stack.  LAPACK returns a bidiagonal's singular values to high
+    Each slice (:func:`_slices`) of the diagonals ``d (count, n)`` and
+    superdiagonals ``e (count, n - 1)`` is scattered into a dense buffer,
+    rescaled and decomposed, so the dense stage holds one slice, not the
+    whole stack.  LAPACK returns a bidiagonal's singular values to high
     relative accuracy (Demmel & Kahan 1990), the smallest included.
     """
     count, n = d.shape
-    chunks = _chunks(count, n)
     i = np.arange(n)
-    buffer = np.zeros((chunks[0].stop, n, n))
     s = np.empty((count, n))
-    for c in chunks:
-        b = buffer[: c.stop - c.start]
+    for c in _slices(count, n):
+        b = np.zeros((c.stop - c.start, n, n))
         b[:, i, i], b[:, i[:-1], i[1:]] = d[c], e[c]
         s[c] = np.linalg.svd(_normalized(b), compute_uv=False)
     return s
@@ -334,11 +316,7 @@ def _sigma_min_below(d: np.ndarray, e: np.ndarray, grid) -> np.ndarray:
     c2[1::2] = (e * e).T
     pivmin = np.finfo(float).tiny * np.maximum(1.0, c2.max(axis=0))
     grid = np.asarray(grid, dtype=float)
-    # The distinct points, sorted: each that differs from its successor, and
-    # the last.  Not np.unique, which loads numpy.ma in every pool worker;
-    # compared, not subtracted, as inf - inf warns.
     xs = np.sort(grid[grid > 0.0])
-    xs = np.append(xs[:-1][xs[:-1] != xs[1:]], xs[-1:])
     # Trial t is below xs[j] exactly for j >= lo[t]; bisect on lo in [0, xs.size].
     lo = np.zeros(count, dtype=np.intp)
     hi = np.full(count, xs.size, dtype=np.intp)

@@ -12,16 +12,8 @@ squares, and the blocks merge in a fixed order with exact summation, so
 results are bit-identical regardless of the worker count and of how blocks
 are scheduled.  Runners derive means and standard errors from those
 triples alone.  The block fixes the streams: a kernel makes its block's
-draws in one order.  The table1, gain and cdf kernels draw their whole
-block's bidiagonals first, which grow with the block by O(N) floats a
-trial; their dense work (scattering, normalizing, decomposing) then runs in
-chunks of at most :data:`lindet.channel.CHUNK_ELEMENTS` elements.  No
-matrix's arithmetic depends on its neighbours, so the chunk size moves no
-output byte: tables record ``block_elements`` and not the chunk budget.
-The BER kernel draws dense matrices, so it draws and finishes its trials
-in slices of at most ``lindet.channel._DRAW_ELEMENTS`` elements, each
-slice's draws in one order; the slice is part of the stream layout, and a
-worker holds a few slices, not a copy of the block.
+draws in one order.  How a block is cut into slices, and what the slice
+fixes, is stated once in README ("Blocks and slices").
 With ``workers > 1`` each grid point's blocks run in a process pool whose
 workers are forked after the parent has loaded every module a kernel needs
 (:func:`_run_blocks`), so a worker does only block work.  A kernel must
@@ -66,7 +58,6 @@ Two receive-SNR conventions coexist and are recorded per table:
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -86,10 +77,8 @@ from .channel import (
     DEFAULT_MAX_ATTEMPTS,
     NoiseModel,
     RngStream,
-    _DRAW_ELEMENTS,
     _check_floor,
     _check_spectrum,
-    _chunks,
     _cn_noise,
     _floored_spectra,
     _gaussian_bidiagonal,
@@ -98,6 +87,7 @@ from .channel import (
     _normalized_bidiagonal,
     _phase_fixed_q,
     _sigma_min_below,
+    _slices,
     _spectrum_profile,
     complex_gaussian,
 )
@@ -278,13 +268,6 @@ def _mean_se(count: int, total: float, total_sq: float) -> tuple[float, float]:
     return mean, math.sqrt(var / count)
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int``; integral floats pass, other non-integers are a ValueError."""
-    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _check_run(dims, trials: int, master_seed: int, workers: int):
     """The checks every runner shares, made before any block runs.
 
@@ -294,9 +277,9 @@ def _check_run(dims, trials: int, master_seed: int, workers: int):
     if not all(float(n).is_integer() for n in given):
         raise ValueError(f"dims must be integers, got {given}")
     dims = tuple(int(n) for n in given)
-    trials = _integer("trials", trials)
-    master_seed = _integer("master_seed", master_seed)
-    workers = _integer("workers", workers)
+    trials = linalg._integer("trials", trials)
+    master_seed = linalg._integer("master_seed", master_seed)
+    workers = linalg._integer("workers", workers)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not dims or any(n < 2 for n in dims):
@@ -463,16 +446,20 @@ def run_min_singular_cdf(
     "tail_scaled_sigma_min"`` rows for the largest ``N``: the empirical
     ``P[N * sigma_min >= x]`` over unnormalized real Gaussian matrices
     (entry variance ``1/N``) next to the asymptotic reference
-    ``exp(-x - x^2/2)``.  Grid points may be in any order and must not be
-    NaN.
+    ``exp(-x - x^2/2)``.  Grid points may be in any order.  ``grid`` must
+    not hold NaN, and ``tail_grid`` only finite points >= 0, the domain of
+    :func:`lindet.analysis.edelman_tail`; both are checked before any block
+    runs.
     """
     dims, trials, master_seed, workers = _check_run(dims, trials, master_seed, workers)
     grid = tuple(float(x) for x in grid)
     tail_grid = tuple(float(x) for x in tail_grid)
     if not grid or not tail_grid:
         raise ValueError("grid and tail_grid must be nonempty")
-    if any(math.isnan(x) for x in grid + tail_grid):
-        raise ValueError("grid and tail_grid must not contain NaN")
+    if any(math.isnan(x) for x in grid):
+        raise ValueError("grid must not contain NaN")
+    if not all(math.isfinite(x) and x >= 0.0 for x in tail_grid):
+        raise ValueError(f"tail_grid must be finite and >= 0, got {tail_grid}")
     sweeps = [("cdf_sigma_min", n, grid, _cdf_block, _TAG_CDF, None) for n in dims]
     sweeps.append(
         ("tail_scaled_sigma_min", max(dims), tail_grid, _edelman_block, _TAG_EDELMAN, edelman_tail)
@@ -515,7 +502,7 @@ def _ber_block(g, n, variance, floor, count):
         # Haar factor does not change the law of the errors.
         s = _floored_spectra(g, count, n, floor, DEFAULT_MAX_ATTEMPTS)
     k_zf, k_mmse = np.empty((2, count), dtype=np.intp)
-    for c in _chunks(count, n, _DRAW_ELEMENTS):
+    for c in _slices(count, n):
         # The channels, or with a floor the Gaussian draws that become V.
         z = complex_gaussian((c.stop - c.start, n, n), g)
         bits, x, noise = _transmit(g, n, variance, c.stop - c.start)
@@ -624,6 +611,7 @@ def empirical_distortion_snr(
             f"filter expects length {w.matrix.shape[1]}, channel outputs "
             f"length {m.shape[0]}"
         )
+    trials = linalg._integer("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = m.shape[0]

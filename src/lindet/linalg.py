@@ -10,6 +10,8 @@ The stacked kernels of :mod:`lindet.channel`, :mod:`lindet.detection` and
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .exceptions import DimensionError
@@ -52,6 +54,13 @@ def as_spectrum(values, name="spectrum") -> np.ndarray:
     if np.any(np.diff(s) > 0.0):
         raise ValueError(f"{name} is not sorted in descending order")
     return s
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; integral floats pass, other non-integers are a ValueError."""
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _require_square(a, name="matrix") -> np.ndarray:

@@ -407,3 +407,13 @@ class TestEmpiricalDistortionSnr:
         w = detection.zf_filter(h)
         with pytest.raises(ValueError):
             experiments.empirical_distortion_snr(h, w, NoiseModel(0.1), 0, RngStream(71))
+
+    def test_trials_are_checked_like_a_runners(self):
+        # An integral float counts as an integer; any other non-integer is a ValueError.
+        h = np.eye(2)
+        w = detection.zf_filter(h)
+        args = (h, w, NoiseModel(0.1))
+        exact = experiments.empirical_distortion_snr(*args, 100, RngStream(72))
+        assert experiments.empirical_distortion_snr(*args, 100.0, RngStream(72)) == exact
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            experiments.empirical_distortion_snr(*args, 2.5, RngStream(72))

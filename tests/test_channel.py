@@ -353,7 +353,11 @@ class TestSampleFloored:
         assert err.value.attempts == 50
 
     @pytest.mark.parametrize(
-        "floor, max_attempts", [(math.nan, 10), (math.inf, 10), (-0.1, 10), (0.3, 0)]
+        "floor, max_attempts",
+        [
+            (math.nan, 10), (math.inf, 10), (-0.1, 10), (0.3, 0),
+            (1.9, math.nan), (1.9, math.inf), (0.3, 2.5),
+        ],
     )
     def test_rejects_bad_floor_or_budget(self, floor, max_attempts):
         with pytest.raises(ValueError):

@@ -198,13 +198,19 @@ class TestRunnerChecks:
             lambda: run_min_singular_cdf([4], grid=(), trials=1),
             lambda: run_min_singular_cdf([4], grid=(0.5, math.nan), trials=1),
             lambda: run_min_singular_cdf([4], tail_grid=(math.nan,), trials=1),
+            lambda: run_min_singular_cdf([4], tail_grid=(1.0, -0.5), trials=1),
+            lambda: run_min_singular_cdf([4], tail_grid=(math.inf,), trials=1),
         ],
         ids=[
             "ber-snr", "condratio-sigma-min", "condratio-nonpositive", "cdf-grid",
-            "cdf-grid-nan", "cdf-tail-grid-nan",
+            "cdf-grid-nan", "cdf-tail-grid-nan", "cdf-tail-grid-negative", "cdf-tail-grid-inf",
         ],
     )
-    def test_rejects_empty_or_bad_grids(self, call):
+    def test_rejects_empty_or_bad_grids(self, call, monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("a block ran before the checks")
+
+        monkeypatch.setattr(experiments, "_run_blocks", no_blocks)
         with pytest.raises(ValueError):
             call()
 
@@ -683,41 +689,53 @@ class TestBlockRule:
 
 
 # Blocks of 30 matrices, so 97 trials are blocks of 30, 30, 30 and 7.  A
-# budget of 100 elements makes chunks of 25, 11, 6 and 4 matrices at N = 2,
-# 3, 4 and 5: every block's last chunk is partial but in the full blocks at
-# N = 4.
-_CHUNK_RUNS = {
+# budget of 100 elements makes slices of 25, 11, 6 and 4 matrices at N = 2,
+# 3, 4 and 5: every block's last slice is partial but in the full blocks at
+# N = 4.  The slice fixes the BER draws, so only the runners that decompose
+# drawn bidiagonals are here.
+_SLICED_RUNS = {
     "table1": lambda workers: run_table1([2, 5], trials=97, master_seed=8, workers=workers),
     "gain": lambda workers: run_gain_sweep(
         [3, 4], [0.0, 20.0], trials=97, master_seed=8, workers=workers
-    ),
-    "ber": lambda workers: run_ber_sweep(
-        4, [0.0, 10.0], trials=97, master_seed=8, workers=workers
-    ),
-    "ber-floored": lambda workers: run_ber_sweep(
-        4, [0.0, 10.0], sigma_min_floor=0.3, trials=97, master_seed=8, workers=workers
     ),
 }
 
 
 class TestChunks:
+    """Blocks are cut into slices of ``channel._SLICE_ELEMENTS`` elements."""
+
     @pytest.mark.parametrize(
         "count, n", [(1, 4), (97, 2), (8192, 4), (8192, 20), (1024, 64), (3, 200)]
     )
     def test_slices_cover_the_block_within_the_budget(self, count, n):
-        chunks = channel._chunks(count, n)
-        step = max(1, channel.CHUNK_ELEMENTS // n**2)
-        assert [i for c in chunks for i in range(count)[c]] == list(range(count))
-        assert all(0 < c.stop - c.start <= step for c in chunks)
+        slices = channel._slices(count, n)
+        step = max(1, channel._SLICE_ELEMENTS // n**2)
+        assert [i for c in slices for i in range(count)[c]] == list(range(count))
+        assert all(0 < c.stop - c.start <= step for c in slices)
 
-    @pytest.mark.parametrize("run", list(_CHUNK_RUNS.values()), ids=list(_CHUNK_RUNS))
-    def test_rows_do_not_depend_on_the_chunk_budget(self, run, monkeypatch):
+    @pytest.mark.parametrize("run", list(_SLICED_RUNS.values()), ids=list(_SLICED_RUNS))
+    def test_decompositions_do_not_depend_on_the_slice_budget(self, run, monkeypatch):
         monkeypatch.setattr(experiments, "_BLOCK", 30)
         reference = run(1).rows
         for budget in (1, 100, 2**40):
-            monkeypatch.setattr(channel, "CHUNK_ELEMENTS", budget)
+            monkeypatch.setattr(channel, "_SLICE_ELEMENTS", budget)
             for workers in (1, 2):
                 assert run(workers).rows == reference, (budget, workers)
+
+    # Slices of 512 and 20 matrices at N = 4 and 20, so 1100 and 50 matrices
+    # end in a partial slice; at N = 200 every slice holds one matrix.  The
+    # floored BER's rejection rounds decompose through this function.
+    @pytest.mark.parametrize("count, n", [(1100, 4), (50, 20), (3, 200), (0, 4)])
+    def test_bidiagonal_svd_equals_one_matrix_decompositions(self, count, n):
+        d, e = channel._gaussian_bidiagonal(RngStream(32).generator(), count, n, 2)
+        i = np.arange(n)
+        alone = np.empty((count, n))
+        for k in range(count):
+            b = np.zeros((1, n, n))
+            b[0, i, i], b[0, i[:-1], i[1:]] = d[k], e[k]
+            alone[k] = np.linalg.svd(channel._normalized(b), compute_uv=False)[0]
+        got = channel._bidiagonal_svd(d, e)
+        assert got.shape == (count, n) and got.tobytes() == alone.tobytes()
 
     @staticmethod
     def _peak_bytes(call):
@@ -732,17 +750,17 @@ class TestChunks:
 
     # A kernel holds its block's draws and outputs, the whole of which it
     # may build twice over (the diagonals are drawn through temporaries),
-    # plus a few complex chunks.  Run on whole blocks, the dense stage
-    # peaked at 5.4x this bound.
-    def test_spectra_hold_their_diagonals_and_a_few_chunks(self):
+    # plus a few complex slices.  Run on whole blocks, the dense stage
+    # peaked at 6.6x this bound.
+    def test_spectra_hold_their_diagonals_and_a_few_slices(self):
         count, n = 8192, 20
         g = RngStream(30).generator()
         # The diagonals d, e and the spectra s, all float64.
-        limit = 2 * 8 * count * (3 * n - 1) + 8 * 16 * channel.CHUNK_ELEMENTS
+        limit = 2 * 8 * count * (3 * n - 1) + 8 * 16 * channel._SLICE_ELEMENTS
         assert self._peak_bytes(lambda: channel._gaussian_spectra(g, count, n)) <= limit
 
     # The BER blocks draw and finish their trials in slices of
-    # channel._DRAW_ELEMENTS elements, so their peak does not grow with the
+    # channel._SLICE_ELEMENTS elements, so their peak does not grow with the
     # block beyond a few per-trial floats (a floored block's spectra and
     # error counts; its rejection rounds are capped too).  Drawn whole, these
     # blocks peaked at 6.0 and 96 MB.
@@ -764,7 +782,7 @@ class TestChunks:
         ),
     ], ids=["ber", "ber-floored"])
     def test_worker_count_invariant_with_a_partial_slice(self, run):
-        assert 8892 % 8192 % (channel._DRAW_ELEMENTS // 16) == 188
+        assert 8892 % 8192 % (channel._SLICE_ELEMENTS // 16) == 188
         assert run(1).rows == run(2).rows
 
 
