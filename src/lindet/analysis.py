@@ -280,7 +280,5 @@ def _gain_db(mmse, zf):
 
 def edelman_tail(x: float) -> float:
     """Asymptotic minimum-singular-value tail law ``exp(-x - x^2/2)``."""
-    xv = float(x)
-    if not math.isfinite(xv) or xv < 0.0:
-        raise ValueError(f"x must be finite and >= 0, got {x!r}")
+    xv = linalg._real("x", x, 0.0)
     return math.exp(-xv - 0.5 * xv * xv)

@@ -76,10 +76,7 @@ class NoiseModel:
     variance: float
 
     def __post_init__(self):
-        v = float(self.variance)
-        if not math.isfinite(v) or v < 0.0:
-            raise ValueError(f"noise variance must be finite and >= 0, got {self.variance!r}")
-        object.__setattr__(self, "variance", v)
+        object.__setattr__(self, "variance", linalg._real("noise variance", self.variance, 0.0))
 
 
 @dataclass(frozen=True)
@@ -87,8 +84,11 @@ class RngStream:
     """Addressable, reproducible random stream.
 
     A stream is identified by a 64-bit master seed plus a tuple of
-    nonnegative child indices.  Two streams with the same address always
-    produce bit-identical draws; streams with different addresses are
+    nonnegative child indices.  The seed and each index follow the count
+    rule of :func:`lindet.linalg._integer` (``3.0`` is ``3``; ``0.5``,
+    ``True`` and ``'3'`` are a ValueError), so two different addresses never
+    share draws.  Two streams with the same address always produce
+    bit-identical draws; streams with different addresses are
     statistically independent.  Derive substreams with :meth:`child`, e.g.
     one per (experiment, grid point, trial block).
     """
@@ -97,13 +97,8 @@ class RngStream:
     key: tuple[int, ...] = ()
 
     def __post_init__(self):
-        seed = int(self.master_seed)
-        if seed < 0:
-            raise ValueError("master_seed must be nonnegative")
-        object.__setattr__(self, "master_seed", seed)
-        key = tuple(int(k) for k in self.key)
-        if any(k < 0 for k in key):
-            raise ValueError("stream indices must be nonnegative")
+        object.__setattr__(self, "master_seed", linalg._integer("master_seed", self.master_seed, 0))
+        key = tuple(linalg._integer("stream index", k, 0) for k in self.key)
         object.__setattr__(self, "key", key)
 
     def child(self, *indices: int) -> "RngStream":
@@ -204,9 +199,7 @@ def sample_floored(
     """
     if n < 1:
         raise DimensionError(f"dimension must be >= 1, got {n}")
-    max_attempts = linalg._integer("max_attempts", max_attempts)
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    max_attempts = linalg._integer("max_attempts", max_attempts, 1)
     floor = _check_floor(n, sigma_min)
     g = rng.generator()
     if floor == 0.0:
@@ -219,9 +212,7 @@ def sample_floored(
 
 def _check_floor(n: int, sigma_min: float) -> float:
     """The floor as a float; ``sigma_N <= sqrt(n)`` makes a floor that high fail at once."""
-    floor = float(sigma_min)
-    if not math.isfinite(floor) or floor < 0.0:
-        raise ValueError(f"sigma_min must be finite and >= 0, got {sigma_min!r}")
+    floor = linalg._real("sigma_min", sigma_min, 0.0)
     if floor >= math.sqrt(n):
         raise SamplingExhaustedError(
             f"sigma_min floor {floor} is unattainable: normalized {n}x{n} channels "
@@ -429,12 +420,8 @@ def _synthesized(spectrum: np.ndarray, generator: np.random.Generator) -> np.nda
 
 def _check_spectrum(cond: float, sigma_mins) -> tuple[float, tuple[float, ...]]:
     """``cond`` and ``sigma_mins`` as floats, once they pass the prescribed-spectrum rules."""
-    c = float(cond)
-    if not math.isfinite(c) or c < 1.0:
-        raise ValueError(f"cond must be finite and >= 1, got {cond!r}")
-    smins = tuple(float(x) for x in sigma_mins)
-    if not smins:
-        raise ValueError("sigma_min grid must be nonempty")
+    c = linalg._real("cond", cond, 1.0)
+    smins = linalg._grid("sigma_min grid", sigma_mins)
     if not all(x > 0.0 and math.isfinite(c * x) for x in smins):
         raise ValueError(f"sigma_min must be > 0 with cond * sigma_min finite, got {sigma_mins!r}")
     return c, smins

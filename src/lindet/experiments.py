@@ -271,23 +271,16 @@ def _mean_se(count: int, total: float, total_sq: float) -> tuple[float, float]:
 def _check_run(dims, trials: int, master_seed: int, workers: int):
     """The checks every runner shares, made before any block runs.
 
-    Returns ``dims``, ``trials``, ``master_seed`` and ``workers`` as integers.
+    ``dims`` is nonempty, and it, ``trials``, ``master_seed`` and ``workers``
+    follow the count rule of :func:`lindet.linalg._integer` with minimums 2,
+    1, 0 and 1; returns them as ints.
     """
-    given = tuple(dims)
-    if not all(float(n).is_integer() for n in given):
-        raise ValueError(f"dims must be integers, got {given}")
-    dims = tuple(int(n) for n in given)
-    trials = linalg._integer("trials", trials)
-    master_seed = linalg._integer("master_seed", master_seed)
-    workers = linalg._integer("workers", workers)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not dims or any(n < 2 for n in dims):
-        raise ValueError(f"dims must be nonempty and all >= 2, got {dims}")
-    if master_seed < 0:
-        raise ValueError("master_seed must be nonnegative")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    dims = tuple(linalg._integer("dims", n, 2) for n in dims)
+    if not dims:
+        raise ValueError("dims must be nonempty")
+    trials = linalg._integer("trials", trials, 1)
+    master_seed = linalg._integer("master_seed", master_seed, 0)
+    workers = linalg._integer("workers", workers, 1)
     return dims, trials, master_seed, workers
 
 
@@ -387,9 +380,7 @@ def run_gain_sweep(
     excluded.
     """
     dims, trials, master_seed, workers = _check_run(dims, trials, master_seed, workers)
-    snr_grid_db = tuple(float(s) for s in snr_grid_db)
-    if not snr_grid_db:
-        raise ValueError("snr_grid_db must be nonempty")
+    snr_grid_db = linalg._grid("snr_grid_db", snr_grid_db)
     variances = [[noise_var_from_snr(snr_db, n).variance for snr_db in snr_grid_db] for n in dims]
     rows = []
     for n, n_variances in zip(dims, variances):
@@ -446,28 +437,26 @@ def run_min_singular_cdf(
     "tail_scaled_sigma_min"`` rows for the largest ``N``: the empirical
     ``P[N * sigma_min >= x]`` over unnormalized real Gaussian matrices
     (entry variance ``1/N``) next to the asymptotic reference
-    ``exp(-x - x^2/2)``.  Grid points may be in any order.  ``grid`` must
-    not hold NaN, and ``tail_grid`` only finite points >= 0, the domain of
-    :func:`lindet.analysis.edelman_tail`; both are checked before any block
-    runs.
+    ``exp(-x - x^2/2)``.  Grid points may be in any order.  Both grids follow
+    the grid rule of :func:`lindet.linalg._grid`; ``grid`` must not hold NaN,
+    and the tail rows' references, :func:`lindet.analysis.edelman_tail` of
+    each ``tail_grid`` point, are computed before any block runs, so a point
+    outside its domain is a ValueError first.
     """
     dims, trials, master_seed, workers = _check_run(dims, trials, master_seed, workers)
-    grid = tuple(float(x) for x in grid)
-    tail_grid = tuple(float(x) for x in tail_grid)
-    if not grid or not tail_grid:
-        raise ValueError("grid and tail_grid must be nonempty")
+    grid = linalg._grid("grid", grid)
+    tail_grid = linalg._grid("tail_grid", tail_grid)
     if any(math.isnan(x) for x in grid):
         raise ValueError("grid must not contain NaN")
-    if not all(math.isfinite(x) and x >= 0.0 for x in tail_grid):
-        raise ValueError(f"tail_grid must be finite and >= 0, got {tail_grid}")
-    sweeps = [("cdf_sigma_min", n, grid, _cdf_block, _TAG_CDF, None) for n in dims]
+    tail_refs = [edelman_tail(x) for x in tail_grid]
+    sweeps = [("cdf_sigma_min", n, grid, _cdf_block, _TAG_CDF, [None] * len(grid)) for n in dims]
     sweeps.append(
-        ("tail_scaled_sigma_min", max(dims), tail_grid, _edelman_block, _TAG_EDELMAN, edelman_tail)
+        ("tail_scaled_sigma_min", max(dims), tail_grid, _edelman_block, _TAG_EDELMAN, tail_refs)
     )
     rows = []
-    for statistic, n, xs, kernel, tag, reference in sweeps:
+    for statistic, n, xs, kernel, tag, references in sweeps:
         [(count, hits, _)] = _reduce(kernel, master_seed, (tag, n), (n, xs), trials, workers)
-        for x, k in zip(xs, hits):
+        for x, k, reference in zip(xs, hits, references):
             p = k / count
             rows.append(
                 {
@@ -476,7 +465,7 @@ def run_min_singular_cdf(
                     "x": x,
                     "value": p,
                     "se": math.sqrt(p * (1.0 - p) / count),
-                    "reference": reference(x) if reference else None,
+                    "reference": reference,
                 }
             )
     return _result_table("cdf", rows, master_seed, trials, "none", dims=list(dims))
@@ -545,9 +534,7 @@ def run_ber_sweep(
     default budget; the checks run before any block.
     """
     (n,), trials, master_seed, workers = _check_run((n,), trials, master_seed, workers)
-    snr_grid_db = tuple(float(s) for s in snr_grid_db)
-    if not snr_grid_db:
-        raise ValueError("snr_grid_db must be nonempty")
+    snr_grid_db = linalg._grid("snr_grid_db", snr_grid_db)
     floor = _check_floor(n, sigma_min_floor)
     variances = [noise_var_from_snr(snr_db, n).variance for snr_db in snr_grid_db]
     rows = []
@@ -603,17 +590,15 @@ def empirical_distortion_snr(
     the given filter and returns ``N * trials / sum ||W (H x + n) - x||^2``
     (QPSK symbols have unit energy), an oracle independent of the closed
     forms; zero distortion (noiseless ZF) gives ``math.inf``.  Block ``i``
-    draws from stream ``(rng.master_seed, rng.key + (i,))``.
+    draws from stream ``(rng.master_seed, rng.key + (i,))``.  A filter not
+    of the channel's shape is a DimensionError, and ``trials`` follows the
+    count rule of :func:`lindet.linalg._integer`; both are checked before
+    any draw.
     """
     m = linalg._require_square(h, "channel")
-    if w.matrix.shape[1] != m.shape[0]:
-        raise DimensionError(
-            f"filter expects length {w.matrix.shape[1]}, channel outputs "
-            f"length {m.shape[0]}"
-        )
-    trials = linalg._integer("trials", trials)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if w.matrix.shape != m.shape:
+        raise DimensionError(f"filter has shape {w.matrix.shape}, channel {m.shape}")
+    trials = linalg._integer("trials", trials, 1)
     n = m.shape[0]
     [(count, distortion, _)] = _reduce(
         _distortion_block, rng.master_seed, rng.key, (n, m, w.matrix, noise.variance), trials, 1

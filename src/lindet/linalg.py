@@ -10,6 +10,7 @@ The stacked kernels of :mod:`lindet.channel`, :mod:`lindet.detection` and
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -56,11 +57,37 @@ def as_spectrum(values, name="spectrum") -> np.ndarray:
     return s
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int``; integral floats pass, other non-integers are a ValueError."""
-    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+def _integer(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int`` >= ``minimum``, the rule for every count.
+
+    Ints and integral floats pass; bools, strings and other non-integers are
+    a ValueError.  Every value goes through ``float``, so one beyond the float
+    range is an OverflowError, and ``int(value)`` keeps a large int exact.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and float(value).is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _real(name: str, value, minimum: float) -> float:
+    """``value`` as a float, finite and >= ``minimum``, else a ValueError."""
+    v = float(value)
+    if not math.isfinite(v) or v < minimum:
+        raise ValueError(f"{name} must be finite and >= {minimum:g}, got {value!r}")
+    return v
+
+
+def _grid(name: str, values) -> tuple[float, ...]:
+    """``values`` as a nonempty tuple of floats; a string is not a grid."""
+    if isinstance(values, (str, bytes)):
+        raise ValueError(f"{name} must be a sequence of numbers, got {values!r}")
+    grid = tuple(float(x) for x in values)
+    if not grid:
+        raise ValueError(f"{name} must be nonempty")
+    return grid
 
 
 def _require_square(a, name="matrix") -> np.ndarray:

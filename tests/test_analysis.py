@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -415,5 +416,18 @@ class TestEmpiricalDistortionSnr:
         args = (h, w, NoiseModel(0.1))
         exact = experiments.empirical_distortion_snr(*args, 100, RngStream(72))
         assert experiments.empirical_distortion_snr(*args, 100.0, RngStream(72)) == exact
-        with pytest.raises(ValueError, match="trials must be an integer"):
-            experiments.empirical_distortion_snr(*args, 2.5, RngStream(72))
+        for trials in (2.5, True):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                experiments.empirical_distortion_snr(*args, trials, RngStream(72))
+
+    @pytest.mark.parametrize(
+        "rows", [np.s_[:1], 0, np.s_[:3]], ids=["first-row", "one-axis", "three-rows"]
+    )
+    def test_rejects_a_filter_not_of_the_channel_shape(self, rows, monkeypatch):
+        # a (1, 4) filter broadcasts against x and would return a value
+        monkeypatch.setattr(experiments, "_run_blocks", lambda *a: pytest.fail("a block ran"))
+        h = channel.normalize(channel.sample_standard_gaussian(4, RngStream(73))).matrix
+        w = detection.zf_filter(h)
+        cut = dataclasses.replace(w, matrix=w.matrix[rows])
+        with pytest.raises(DimensionError, match="filter has shape"):
+            experiments.empirical_distortion_snr(h, cut, NoiseModel(0.1), 100, RngStream(74))

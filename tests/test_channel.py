@@ -33,6 +33,20 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(-1)
 
+    @pytest.mark.parametrize(
+        "seed, key",
+        [(0.5, ()), (True, ()), ("3", ()), (3, (1.9,)), (3, (-1,))],
+        ids=["seed-0.5", "seed-True", "seed-str", "key-1.9", "key-minus-1"],
+    )
+    def test_rejects_addresses_that_are_not_counts(self, seed, key):
+        with pytest.raises(ValueError):
+            RngStream(seed, key)
+
+    def test_integral_forms_are_the_same_address(self):
+        assert RngStream(np.int64(3), (np.int64(2),)) == RngStream(3, (2,))
+        assert RngStream(3.0) == RngStream(3)
+        assert type(RngStream(3.0).master_seed) is int
+
 
 class TestNoiseModel:
     def test_rejects_negative_variance(self):
@@ -356,7 +370,7 @@ class TestSampleFloored:
         "floor, max_attempts",
         [
             (math.nan, 10), (math.inf, 10), (-0.1, 10), (0.3, 0),
-            (1.9, math.nan), (1.9, math.inf), (0.3, 2.5),
+            (1.9, math.nan), (1.9, math.inf), (0.3, 2.5), (0.3, True),
         ],
     )
     def test_rejects_bad_floor_or_budget(self, floor, max_attempts):

@@ -110,11 +110,11 @@ class TestRunnerChecks:
         with pytest.raises(ValueError):
             runner(**small, trials=1)
 
-    @pytest.mark.parametrize("value", [4.5, math.inf])
+    @pytest.mark.parametrize("value", [4.5, math.inf, "2", True])
     @pytest.mark.parametrize("runner", _ALL_RUNNERS, ids=_name)
     def test_rejects_non_integral_dims(self, runner, value):
         bad = {"dims": (4, value)} if runner in _DIMS_RUNNERS else {"n": value}
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="dims must be an integer"):
             runner(**bad, trials=1)
 
     @pytest.mark.parametrize("runner", _DIMS_RUNNERS, ids=_name)
@@ -146,6 +146,14 @@ class TestRunnerChecks:
     def test_rejects_non_integral_workers(self, runner):
         with pytest.raises(ValueError, match="workers must be an integer"):
             runner(trials=1, workers=1.5)
+
+    @pytest.mark.parametrize("value", [True, np.True_, "100"], ids=["True", "np.True_", "str"])
+    @pytest.mark.parametrize("name", ["trials", "master_seed", "workers"])
+    @pytest.mark.parametrize("runner", _ALL_RUNNERS, ids=_name)
+    def test_rejects_bools_and_strings_as_counts(self, runner, name, value):
+        counts = {"trials": 1, "master_seed": 0, "workers": 1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            runner(**counts)
 
     @pytest.mark.parametrize("runner", _ALL_RUNNERS, ids=_name)
     def test_rejects_negative_seed(self, runner):
@@ -200,10 +208,15 @@ class TestRunnerChecks:
             lambda: run_min_singular_cdf([4], tail_grid=(math.nan,), trials=1),
             lambda: run_min_singular_cdf([4], tail_grid=(1.0, -0.5), trials=1),
             lambda: run_min_singular_cdf([4], tail_grid=(math.inf,), trials=1),
+            lambda: run_gain_sweep([2], "30", trials=1),
+            lambda: run_ber_sweep(4, "10", trials=1),
+            lambda: run_min_singular_cdf([4], grid="12", trials=1),
+            lambda: run_table1("24", trials=1),
         ],
         ids=[
             "ber-snr", "condratio-sigma-min", "condratio-nonpositive", "cdf-grid",
             "cdf-grid-nan", "cdf-tail-grid-nan", "cdf-tail-grid-negative", "cdf-tail-grid-inf",
+            "gain-snr-string", "ber-snr-string", "cdf-grid-string", "table1-dims-string",
         ],
     )
     def test_rejects_empty_or_bad_grids(self, call, monkeypatch):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,60 @@ class TestSpectrumValidation:
     def test_rejects_empty(self):
         with pytest.raises(DimensionError):
             linalg.as_spectrum([])
+
+
+class TestInputRules:
+    """The count, finite-real and grid rules, each at a minimum of 2 where it has one."""
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (3, 3), (np.int64(3), 3), (3.0, 3), (10**30, 10**30), (2, 2),
+            (True, None), (np.True_, None), ("3", None), (2.5, None),
+            (math.nan, None), (math.inf, None), (1, None),
+        ],
+        ids=["3", "int64", "3.0", "1e30", "min", "True", "np.True_", "str", "2.5", "nan", "inf",
+             "min-1"],
+    )
+    def test_integer(self, value, expected):
+        if expected is None:
+            with pytest.raises(ValueError, match="count must be"):
+                linalg._integer("count", value, 2)
+        else:
+            got = linalg._integer("count", value, 2)
+            assert got == expected and type(got) is int
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (3, 3.0), (np.int64(3), 3.0), (2.5, 2.5), (10**30, 1e30), (2, 2.0),
+            (math.nan, None), (math.inf, None), (-math.inf, None), (1.0, None),
+        ],
+        ids=["3", "int64", "2.5", "1e30", "min", "nan", "inf", "-inf", "min-1"],
+    )
+    def test_real(self, value, expected):
+        if expected is None:
+            with pytest.raises(ValueError, match="x must be finite and >= 2"):
+                linalg._real("x", value, 2.0)
+        else:
+            got = linalg._real("x", value, 2.0)
+            assert got == expected and type(got) is float
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([3, np.int64(3), 3.0, 10**30], (3.0, 3.0, 3.0, 1e30)),
+            (np.array([0.5, -1.0]), (0.5, -1.0)),
+            (range(2, 0, -1), (2.0, 1.0)),
+            ((), None), ([], None), ("10", None), ("", None), (b"10", None),
+        ],
+        ids=["counts", "array", "range", "empty-tuple", "empty-list", "str", "empty-str",
+             "bytes"],
+    )
+    def test_grid(self, values, expected):
+        if expected is None:
+            with pytest.raises(ValueError, match="grid must be"):
+                linalg._grid("grid", values)
+        else:
+            got = linalg._grid("grid", values)
+            assert got == expected and all(type(x) is float for x in got)
