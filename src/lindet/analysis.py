@@ -70,7 +70,9 @@ def weyl_lower_bound(i: int, sigma_spectrum, delta_spectrum) -> float:
     For Hermitian PSD matrices with descending spectra ``sigma_spectrum``
     and ``delta_spectrum``, the i-th (1-indexed) singular value of their sum
     is at least ``sigma[i+k] + delta[N-k]`` for every ``k`` in
-    ``0..N-i``; this returns the maximum of that family.
+    ``0..N-i``; this returns the maximum of that family.  ``i`` follows the
+    count rule of :func:`lindet.linalg._integer`; outside ``1..N`` it is an
+    IndexError.
     """
     sig = linalg.as_spectrum(sigma_spectrum, name="sigma_spectrum")
     dlt = linalg.as_spectrum(delta_spectrum, name="delta_spectrum")
@@ -79,6 +81,7 @@ def weyl_lower_bound(i: int, sigma_spectrum, delta_spectrum) -> float:
         raise DimensionError(
             f"spectra must have equal length, got {n} and {dlt.size}"
         )
+    i = linalg._integer("index", i, -math.inf)
     if not 1 <= i <= n:
         raise IndexError(f"index must be in 1..{n}, got {i}")
     return float(_weyl_bounds(sig, dlt)[i - 1])
@@ -111,7 +114,11 @@ def cond_ratio_approx(sigma_1: float, sigma_n: float, noise: NoiseModel) -> floa
         )
     if not (math.isfinite(s1) and math.isfinite(sn)) or s1 < sn:
         raise ValueError(f"need finite sigma_1 >= sigma_n > 0, got ({sigma_1!r}, {sigma_n!r})")
-    v = noise.variance
+    return _cond_ratio_approx(s1, sn, noise.variance)
+
+
+def _cond_ratio_approx(s1, sn, v):
+    """``(1 + v/s1^2) / (1 + v/sn^2)`` elementwise, on floats or arrays; unchecked."""
     return (1.0 + v / (s1 * s1)) / (1.0 + v / (sn * sn))
 
 

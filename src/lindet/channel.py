@@ -41,11 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .exceptions import (
-    DegenerateInputError,
-    DimensionError,
-    SamplingExhaustedError,
-)
+from .exceptions import DegenerateInputError, SamplingExhaustedError
 
 #: Default rejection budget for floored sampling.
 DEFAULT_MAX_ATTEMPTS = 10**6
@@ -132,20 +128,26 @@ class ChannelRealization:
         return self.matrix.shape[0]
 
 
-def complex_gaussian(shape, generator: np.random.Generator) -> np.ndarray:
-    """i.i.d. CN(0, 1) array: real/imaginary parts each have variance 1/2.
+def complex_gaussian(shape, generator: np.random.Generator, variance: float = 1.0) -> np.ndarray:
+    """i.i.d. CN(0, variance) array: real/imaginary parts each have variance ``variance / 2``.
 
     ``shape`` may carry leading batch axes: ``(count, n, n)`` draws a stack
     of ``count`` channels from one generator, all real parts first, so a
     stack of one equals the single ``(n, n)`` draw bit for bit.
     """
-    return _cn_noise(shape, 1.0, generator)
+    z = np.empty(shape, dtype=np.complex128)
+    z.real = generator.standard_normal(shape)
+    z.imag = generator.standard_normal(shape)
+    z *= math.sqrt(variance * 0.5)
+    return z
 
 
 def sample_standard_gaussian(n: int, rng: RngStream) -> np.ndarray:
-    """n x n matrix of i.i.d. zero-mean unit-variance complex Gaussians."""
-    if n < 1:
-        raise DimensionError(f"dimension must be >= 1, got {n}")
+    """n x n matrix of i.i.d. zero-mean unit-variance complex Gaussians.
+
+    ``n`` is a dimension >= 1 (:func:`lindet.linalg._dimension`).
+    """
+    n = linalg._dimension("n", n, 1)
     return complex_gaussian((n, n), rng.generator())
 
 
@@ -190,15 +192,15 @@ def sample_floored(
     Raises
     ------
     ValueError
-        If the floor is negative or not finite, or ``max_attempts`` is not
-        an integer >= 1; before any draw.
+        If ``n`` is not a dimension >= 1 (:func:`lindet.linalg._dimension`),
+        the floor is negative or not finite, or ``max_attempts`` is not an
+        integer >= 1; before any draw.
     SamplingExhaustedError
         At once, with ``attempts == 0``, if the floor is ``sqrt(n)`` or more,
         which no normalized channel clears; else after ``max_attempts``
         rejected draws, a sign that the floor is improbably high.
     """
-    if n < 1:
-        raise DimensionError(f"dimension must be >= 1, got {n}")
+    n = linalg._dimension("n", n, 1)
     max_attempts = linalg._integer("max_attempts", max_attempts, 1)
     floor = _check_floor(n, sigma_min)
     g = rng.generator()
@@ -443,14 +445,15 @@ def synthesize_spectrum(
 
     Parameters
     ----------
+    n : int
+        A dimension >= 2 (:func:`lindet.linalg._dimension`).
     interior : {"top", "geometric"}
         Placement of the interior singular values.  ``"top"`` (default)
         pins them to the largest value, so the extremes of any spectral
         function of H are attained at the prescribed endpoints;
         ``"geometric"`` spaces them logarithmically between the endpoints.
     """
-    if n < 2:
-        raise DimensionError(f"dimension must be >= 2, got {n}")
+    n = linalg._dimension("n", n, 2)
     c, (smin,) = _check_spectrum(cond, [sigma_min])
     s = _spectrum_profile(n, c, smin, interior)
     return ChannelRealization(
@@ -461,15 +464,3 @@ def synthesize_spectrum(
         cond=c,
     )
 
-
-def _cn_noise(shape, variance: float, generator: np.random.Generator) -> np.ndarray:
-    """i.i.d. CN(0, variance) array; leading axes of ``shape`` are batch axes.
-
-    All real parts are drawn first, then all imaginary parts; each is copied
-    into the one complex array that is returned, which is scaled in place.
-    """
-    z = np.empty(shape, dtype=np.complex128)
-    z.real = generator.standard_normal(shape)
-    z.imag = generator.standard_normal(shape)
-    z *= math.sqrt(variance * 0.5)
-    return z

@@ -61,18 +61,16 @@ def _to_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _to_dims(text: str) -> tuple[int, ...]:
-    dims = tuple(int(p) for p in text.split(",") if p.strip())
-    if not dims:
-        raise ValueError("empty dimension list")
-    return dims
+def _to_list(convert):
+    """Converter of a nonempty comma list, each item by ``convert``; blank items are skipped."""
 
+    def parse(text: str) -> tuple:
+        values = tuple(convert(p) for p in text.split(",") if p.strip())
+        if not values:
+            raise ValueError(f"empty list: {text!r}")
+        return values
 
-def _to_float_list(text: str) -> tuple[float, ...]:
-    vals = tuple(float(p) for p in text.split(",") if p.strip())
-    if not vals:
-        raise ValueError("empty value list")
-    return vals
+    return parse
 
 
 #: The most points a ``min:max:step`` SNR range may have.
@@ -107,9 +105,7 @@ def _to_snr_grid(text: str) -> tuple[float, ...]:
             grid.append(round(x, 10))
             x += step
         return tuple(grid)
-    if "," in text:
-        return _to_float_list(text)
-    return (float(text),)
+    return _to_list(float)(text)
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +122,12 @@ _COMMON = {"trials": ("trials", int), "seed": _SEED, "workers": ("workers", int)
 #: ``--config`` is not passed.  ``props`` has no blocks to schedule, so it
 #: checks ``--workers`` and passes it nowhere (keyword None).
 _COMMANDS = {
-    "table1": ("run_table1", {"dims": ("dims", _to_dims), **_COMMON}),
+    "table1": ("run_table1", {"dims": ("dims", _to_list(int)), **_COMMON}),
     "gain": (
         "run_gain_sweep",
-        {"dims": ("dims", _to_dims), "snr": ("snr_grid_db", _to_snr_grid), **_COMMON},
+        {"dims": ("dims", _to_list(int)), "snr": ("snr_grid_db", _to_snr_grid), **_COMMON},
     ),
-    "cdf": ("run_min_singular_cdf", {"dims": ("dims", _to_dims), **_COMMON}),
+    "cdf": ("run_min_singular_cdf", {"dims": ("dims", _to_list(int)), **_COMMON}),
     "ber": (
         "run_ber_sweep",
         {
@@ -146,7 +142,7 @@ _COMMANDS = {
         {
             "n": ("n", int),
             "cond": ("cond_target", float),
-            "sigma_min": ("sigma_min_grid", _to_float_list),
+            "sigma_min": ("sigma_min_grid", _to_list(float)),
             "snr": ("snr_db", float),
             **_COMMON,
         },
@@ -245,16 +241,12 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _metadata_comment(metadata: dict) -> str:
-    return "# " + " ".join(f"{k}={v}" for k, v in metadata.items())
-
-
 def write_csv(table: ResultTable, path: str) -> None:
     """RFC-4180 CSV: header line, then a ``#`` metadata comment, then rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.columns)
-        fh.write(_metadata_comment(table.metadata) + "\r\n")
+        fh.write("# " + " ".join(f"{k}={v}" for k, v in table.metadata.items()) + "\r\n")
         for row in table.rows:
             writer.writerow([_format_value(row.get(c)) for c in table.columns])
 
@@ -281,13 +273,6 @@ def write_json(table: ResultTable, path: str) -> None:
     text = json.dumps(payload, indent=2, allow_nan=False)  # a failed render opens no file
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-
-
-def write_table(table: ResultTable, path: str, fmt: str) -> None:
-    if fmt == "csv":
-        write_csv(table, path)
-    else:
-        write_json(table, path)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +330,7 @@ def _plot_script(table: ResultTable, csv_path: str) -> str:
 def _emit(table: ResultTable, opts: dict) -> None:
     """Write the table to ``--out`` (default ``{experiment}.{format}``), and its plot script."""
     path = opts["out"] if opts["out"] is not None else f"{table.experiment}.{opts['format']}"
-    write_table(table, path, opts["format"])
+    (write_csv if opts["format"] == "csv" else write_json)(table, path)
     print(f"wrote {path} ({len(table.rows)} rows)")
     if opts["emit_plot"]:
         with open(path + ".gnuplot", "w", encoding="utf-8") as fh:

@@ -79,7 +79,6 @@ from .channel import (
     RngStream,
     _check_floor,
     _check_spectrum,
-    _cn_noise,
     _floored_spectra,
     _gaussian_bidiagonal,
     _gaussian_spectra,
@@ -147,11 +146,11 @@ def noise_var_from_snr(snr_db: float, n: int) -> NoiseModel:
     """Noise variance for a per-antenna receive SNR of ``snr_db`` dB.
 
     Under the N^2 channel power normalization the receive SNR per antenna
-    is ``N / variance``, so ``variance = N / 10**(snr_db / 10)``.  Raises
-    ``ValueError`` unless that is a finite number >= 0.
+    is ``N / variance``, so ``variance = N / 10**(snr_db / 10)``.  ``n`` is a
+    dimension >= 1 (:func:`lindet.linalg._dimension`); raises ``ValueError``
+    unless the variance is a finite number >= 0.
     """
-    if n < 1:
-        raise DimensionError(f"dimension must be >= 1, got {n}")
+    n = linalg._dimension("n", n, 1)
     return _noise_model(lambda: n / 10.0 ** (float(snr_db) / 10.0), snr_db)
 
 
@@ -271,11 +270,12 @@ def _mean_se(count: int, total: float, total_sq: float) -> tuple[float, float]:
 def _check_run(dims, trials: int, master_seed: int, workers: int):
     """The checks every runner shares, made before any block runs.
 
-    ``dims`` is nonempty, and it, ``trials``, ``master_seed`` and ``workers``
-    follow the count rule of :func:`lindet.linalg._integer` with minimums 2,
-    1, 0 and 1; returns them as ints.
+    ``dims`` is nonempty and each is a dimension >= 2
+    (:func:`lindet.linalg._dimension`); ``trials``, ``master_seed`` and
+    ``workers`` follow the count rule of :func:`lindet.linalg._integer` with
+    minimums 1, 0 and 1.  Returns them as ints.
     """
-    dims = tuple(linalg._integer("dims", n, 2) for n in dims)
+    dims = tuple(linalg._dimension("dims", n, 2) for n in dims)
     if not dims:
         raise ValueError("dims must be nonempty")
     trials = linalg._integer("trials", trials, 1)
@@ -438,16 +438,14 @@ def run_min_singular_cdf(
     ``P[N * sigma_min >= x]`` over unnormalized real Gaussian matrices
     (entry variance ``1/N``) next to the asymptotic reference
     ``exp(-x - x^2/2)``.  Grid points may be in any order.  Both grids follow
-    the grid rule of :func:`lindet.linalg._grid`; ``grid`` must not hold NaN,
-    and the tail rows' references, :func:`lindet.analysis.edelman_tail` of
-    each ``tail_grid`` point, are computed before any block runs, so a point
-    outside its domain is a ValueError first.
+    the grid rule of :func:`lindet.linalg._grid`, and the tail rows'
+    references, :func:`lindet.analysis.edelman_tail` of each ``tail_grid``
+    point, are computed before any block runs, so a point outside its domain
+    is a ValueError first.
     """
     dims, trials, master_seed, workers = _check_run(dims, trials, master_seed, workers)
     grid = linalg._grid("grid", grid)
     tail_grid = linalg._grid("tail_grid", tail_grid)
-    if any(math.isnan(x) for x in grid):
-        raise ValueError("grid must not contain NaN")
     tail_refs = [edelman_tail(x) for x in tail_grid]
     sweeps = [("cdf_sigma_min", n, grid, _cdf_block, _TAG_CDF, [None] * len(grid)) for n in dims]
     sweeps.append(
@@ -482,7 +480,7 @@ def _transmit(g, n, variance, count):
     Draws the bits, then CN(0, ``variance``) noise, in that order.
     """
     bits = g.integers(0, 2, size=(count, 2 * n))
-    return bits, qpsk_modulate(bits), _cn_noise((count, n), variance, g)
+    return bits, qpsk_modulate(bits), complex_gaussian((count, n), g, variance)
 
 
 def _ber_block(g, n, variance, floor, count):

@@ -72,6 +72,14 @@ def _integer(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def _dimension(name: str, value, minimum: int) -> int:
+    """:func:`_integer` of a matrix dimension; a break of its rule is a DimensionError."""
+    try:
+        return _integer(name, value, minimum)
+    except ValueError as exc:
+        raise DimensionError(str(exc)) from None
+
+
 def _real(name: str, value, minimum: float) -> float:
     """``value`` as a float, finite and >= ``minimum``, else a ValueError."""
     v = float(value)
@@ -81,12 +89,12 @@ def _real(name: str, value, minimum: float) -> float:
 
 
 def _grid(name: str, values) -> tuple[float, ...]:
-    """``values`` as a nonempty tuple of floats; a string is not a grid."""
+    """``values`` as a nonempty tuple of floats, none NaN; a string is not a grid."""
     if isinstance(values, (str, bytes)):
         raise ValueError(f"{name} must be a sequence of numbers, got {values!r}")
     grid = tuple(float(x) for x in values)
-    if not grid:
-        raise ValueError(f"{name} must be nonempty")
+    if not grid or any(math.isnan(x) for x in grid):
+        raise ValueError(f"{name} must be nonempty, without NaN")
     return grid
 
 

@@ -150,12 +150,9 @@ def check_cond_ratio_bounds(master_seed: int = 108, matrices: int = 200) -> Prop
         s = _normalized_draw(g, k, n)[1]
         variance = g.uniform(1e-3, 5.0, size=k)
         cond_zf, cond_mmse = analysis._spectral_conds(s, 0.0, variance)
-        approx = [
-            analysis.cond_ratio_approx(s1, sn, NoiseModel(v))
-            for s1, sn, v in zip(s[:, 0], s[:, -1], variance)
-        ]
+        approx = analysis._cond_ratio_approx(s[:, 0], s[:, -1], variance)
         worst_exact = max(worst_exact, float(np.max(cond_mmse / cond_zf)) - 1.0)
-        worst_approx = max(worst_approx, max(approx) - 1.0)
+        worst_approx = max(worst_approx, float(np.max(approx)) - 1.0)
     return _result(
         "cond_ratio_bounded_by_one",
         worst_exact <= 1e-9 and worst_approx <= 0.0,
@@ -176,10 +173,7 @@ def check_approx_ratio_exact_above_sqrt_v(master_seed: int = 109, samples: int =
         s = np.sort(g.uniform(0.05, 3.0, size=(k, n)))[..., ::-1]
         variance = g.uniform(0.0, 1.0, size=k) * s[:, -1] ** 2
         [cond_mmse] = analysis._spectral_conds(s, variance)
-        approx = [
-            analysis.cond_ratio_approx(s1, sn, NoiseModel(v)) * s1 / sn
-            for s1, sn, v in zip(s[:, 0], s[:, -1], variance)
-        ]
+        approx = analysis._cond_ratio_approx(s[:, 0], s[:, -1], variance) * s[:, 0] / s[:, -1]
         worst = max(worst, float(np.max(np.abs(cond_mmse - approx) / cond_mmse)))
     return _result(
         "approx_ratio_exact_above_sqrt_v",
@@ -306,8 +300,12 @@ def check_cdf_dominance(master_seed: int = 113, trials: int = 10000, dims=(2, 4,
 
 
 def run_property_suite(master_seed: int = 0) -> list[PropertyResult]:
-    """Run every invariant check; derive per-check seeds from ``master_seed``."""
-    base = int(master_seed)
+    """Run every invariant check; derive per-check seeds from ``master_seed``.
+
+    ``master_seed`` follows the seed rule of :class:`RngStream`, checked
+    before any check runs.
+    """
+    base = RngStream(master_seed).master_seed
     return [
         check_weyl_validity(base + 101),
         check_filter_conditioning_closed_form(base + 103),

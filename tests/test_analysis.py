@@ -68,8 +68,14 @@ class TestWeylLowerBound:
                     assert bounds[k, i - 1] == analysis.weyl_lower_bound(i, sig[k], dlt[k])
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            analysis.weyl_lower_bound(3, [2.0, 1.0], [1.0, 0.5])
+        # the index follows the count rule; a count outside 1..N is an IndexError
+        for i in (3, 0, -1):
+            with pytest.raises(IndexError):
+                analysis.weyl_lower_bound(i, [2.0, 1.0], [1.0, 0.5])
+        for i in (True, 1.5, "1", math.nan):
+            with pytest.raises(ValueError, match="index must be an integer"):
+                analysis.weyl_lower_bound(i, [2.0, 1.0], [1.0, 0.5])
+        assert analysis.weyl_lower_bound(2.0, [2.0, 1.0], [1.0, 0.5]) == 1.5
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
@@ -100,6 +106,25 @@ class TestCondRatioApprox:
     def test_zero_sigma_n_raises(self):
         with pytest.raises(SingularMatrixError):
             analysis.cond_ratio_approx(1.0, 0.0, NoiseModel(0.1))
+
+    @pytest.mark.parametrize(
+        "s1, sn",
+        [(0.5, 1.0), (math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, math.inf)],
+        ids=["unordered", "inf", "nan-sigma-1", "nan-sigma-n", "both-inf"],
+    )
+    def test_unordered_or_non_finite_raises(self, s1, sn):
+        with pytest.raises(ValueError, match="need finite sigma_1 >= sigma_n > 0"):
+            analysis.cond_ratio_approx(s1, sn, NoiseModel(0.1))
+
+    def test_stacked_kernel_is_the_scalar_formula(self):
+        g = RngStream(58).generator()
+        sn = g.uniform(0.01, 2.0, size=50)
+        s1 = sn * g.uniform(1.0, 50.0, size=50)
+        v = g.uniform(0.0, 10.0, size=50)
+        stacked = analysis._cond_ratio_approx(s1, sn, v)
+        for k in range(50):
+            scalar = analysis.cond_ratio_approx(s1[k], sn[k], NoiseModel(v[k]))
+            assert stacked[k] == scalar
 
 
 class TestCondRatioExact:
@@ -367,7 +392,7 @@ class TestEdelmanTail:
 
 def test_analysis_draws_nothing():
     # the closed forms take spectra; every Monte Carlo estimate is in experiments
-    sampling = {"RngStream", "_cn_noise", "complex_gaussian", "qpsk_modulate"}
+    sampling = {"RngStream", "complex_gaussian", "qpsk_modulate"}
     assert not sampling & set(vars(analysis))
 
 

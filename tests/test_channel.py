@@ -78,6 +78,24 @@ class TestStandardGaussian:
             channel.sample_standard_gaussian(0, RngStream(1))
 
 
+@pytest.mark.parametrize("n", [2.5, True, "2"], ids=["2.5", "True", "str"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: experiments.noise_var_from_snr(0.0, n),
+        lambda n: channel.sample_standard_gaussian(n, RngStream(1)),
+        lambda n: channel.sample_floored(n, 0.0, RngStream(1)),
+        lambda n: channel.synthesize_spectrum(n, 10.0, 0.1, RngStream(1)),
+    ],
+    ids=["noise_var_from_snr", "sample_standard_gaussian", "sample_floored", "synthesize_spectrum"],
+)
+def test_dimension_rule_before_any_draw(call, n, monkeypatch):
+    assert call(4.0) is not None
+    monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("a draw was made"))
+    with pytest.raises(DimensionError, match="n must be an integer"):
+        call(n)
+
+
 class TestBatchedKernels:
     def test_stack_of_one_equals_single_draw(self):
         single = channel.complex_gaussian((3, 3), RngStream(4).generator())
@@ -629,15 +647,15 @@ class TestSynthesizeSpectrum:
 
 
 class TestSampleNoise:
-    """``channel._cn_noise``, the CN(0, v) draw of the BER runner and the oracle."""
+    """``channel.complex_gaussian`` at variance v: the noise of the BER runner and the oracle."""
 
     def test_zero_variance_gives_zero_vector(self):
-        n = channel._cn_noise(16, 0.0, RngStream(18).generator())
+        n = channel.complex_gaussian(16, RngStream(18).generator(), 0.0)
         assert np.all(n == 0)
 
     def test_moment(self):
         # 10^6 draws at variance 0.5: mean |n|^2 within half a percent
-        n = channel._cn_noise(10**6, 0.5, RngStream(19).generator())
+        n = channel.complex_gaussian(10**6, RngStream(19).generator(), 0.5)
         assert 0.4975 <= float(np.mean(np.abs(n) ** 2)) <= 0.5025
 
     @pytest.mark.parametrize("variance", [0.0, 0.3, 1.0, 1e300])
@@ -646,11 +664,11 @@ class TestSampleNoise:
         g = RngStream(21).generator()
         re, im = g.standard_normal(shape), g.standard_normal(shape)
         expected = math.sqrt(variance * 0.5) * (re + 1j * im)
-        n = channel._cn_noise(shape, variance, RngStream(21).generator())
+        n = channel.complex_gaussian(shape, RngStream(21).generator(), variance)
         assert n.dtype == np.complex128
         assert n.tobytes() == expected.tobytes()
 
     def test_deterministic(self):
-        a = channel._cn_noise((8, 4), 1.0, RngStream(20, (4,)).generator())
-        b = channel._cn_noise((8, 4), 1.0, RngStream(20, (4,)).generator())
+        a = channel.complex_gaussian((8, 4), RngStream(20, (4,)).generator(), 1.0)
+        b = channel.complex_gaussian((8, 4), RngStream(20, (4,)).generator(), 1.0)
         assert np.array_equal(a, b)

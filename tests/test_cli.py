@@ -86,7 +86,7 @@ class TestGridParsing:
             cli._to_snr_grid("1e20:1e20:1")
 
     def test_dims(self):
-        assert cli._to_dims("2,4,8") == (2, 4, 8)
+        assert cli._to_list(int)("2,4,8") == (2, 4, 8)
 
 
 class TestExitCodes:
@@ -102,6 +102,20 @@ class TestExitCodes:
 
     def test_bad_format(self, capsys):
         assert run(["table1", "--format", "xml"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["table1", "--dims", ","], ["condratio", "--sigma-min", ","]],
+        ids=["dims", "sigma-min"],
+    )
+    def test_empty_list_is_a_usage_error(self, argv, capsys):
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error: empty list")
+
+    @pytest.mark.parametrize("argv", [["--version"], ["table1", "--help"]], ids=["version", "help"])
+    def test_version_and_help_succeed(self, argv, capsys):
+        assert run(argv) == 0
+        assert capsys.readouterr().out
 
     def test_unattainable_floor_fails_fast(self, capsys, tmp_path, monkeypatch):
         # sigma_N <= sqrt(N) = 2 for normalized 4x4 channels; no block may run
@@ -152,10 +166,11 @@ class TestExitCodes:
             ["condratio", "--cond", "0.5"],
             ["table1", "--dims", "2", "--trials", "1" + "0" * 30],
             ["table1", "--dims", "1" + "0" * 400],
+            ["props", "--seed", "-1"],
         ],
         ids=["ber-4000", "condratio-minus-4000", "gain-minus-4000", "gain-minus-inf", "ber-nan",
              "trials-0", "dims-1", "workers-0", "seed-minus-1", "sigma-min-minus-1", "cond-0.5",
-             "trials-1e30", "dims-401-digits"],
+             "trials-1e30", "dims-401-digits", "props-seed-minus-1"],
     )
     def test_snr_without_a_noise_variance_fails_fast(self, argv, capsys, tmp_path, monkeypatch):
         # like these SNRs, every value that parses but that a runner rejects
@@ -167,7 +182,7 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("snr", ["1e20:1e20:1", "0:1e12:1", "nan:1:1"])
+    @pytest.mark.parametrize("snr", ["1e20:1e20:1", "0:1e12:1", "nan:1:1", "1:2", "5:0:1"])
     def test_bad_snr_range_is_a_usage_error(self, snr, capsys):
         assert run(["ber", "--snr", snr]) == 1
         err = capsys.readouterr().err
@@ -228,6 +243,12 @@ class TestCsvOutput:
         significant = re.sub(r"[^0-9]", "", mean_field).lstrip("0")
         assert len(significant) == 9
         assert mean_field == format(float(mean_field), ".9g")
+
+    def test_undefined_standard_errors_are_nan_cells(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["table1", "--dims", "2", "--trials", "1", "--out", "t.csv"]) == 0
+        fields = (tmp_path / "t.csv").read_text().splitlines()[2].split(",")
+        assert fields[2] == fields[4] == "nan"
 
     def test_seed_env_var_default(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -314,6 +335,25 @@ class TestConfigFile:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.txt").write_text("frobnicate=1\n")
         assert run(["table1", "--config", "cfg.txt"]) == 1
+
+    def test_comment_lines_are_skipped_and_a_line_without_equals_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.txt").write_text("# only a comment\ndims=2\ntrials=20\n")
+        assert run(["table1", "--config", "cfg.txt", "--out", "c.csv"]) == 0
+        assert "trials=20" in (tmp_path / "c.csv").read_text().splitlines()[1]
+        (tmp_path / "cfg.txt").write_text("dims 2\n")
+        assert run(["table1", "--config", "cfg.txt"]) == 1
+        assert "expected key=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, code", [("off", 0), ("maybe", 1)])
+    def test_emit_plot_in_config(self, value, code, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.txt").write_text(f"emit_plot={value}\n")
+        assert run(["condratio", "--config", "cfg.txt", "--out", "cr.csv"]) == code
+        assert (tmp_path / "cr.csv").exists() == (code == 0)
+        assert not (tmp_path / "cr.csv.gnuplot").exists()
 
     def test_missing_config_file_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

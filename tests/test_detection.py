@@ -66,6 +66,13 @@ class TestQpskSlice:
         with pytest.raises(ValueError):
             detection.qpsk_slice([[1.0, math.nan]])
 
+    def test_scalars_raise(self):
+        # bits and filter outputs need an axis to pair or slice along
+        with pytest.raises(DimensionError, match="bits must have at least one axis"):
+            detection.as_bit_block(1)
+        with pytest.raises(DimensionError, match="filter output must have at least one axis"):
+            detection.qpsk_slice(0j)
+
 
     def test_sign_rule(self):
         np.testing.assert_array_equal(detection.qpsk_slice([0.9 - 0.2j]), [0, 1])

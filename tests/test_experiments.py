@@ -228,6 +228,22 @@ class TestRunnerChecks:
             call()
 
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: run_gain_sweep([2], [0.0, math.nan], trials=1),
+            lambda: run_ber_sweep(4, [math.nan], trials=1),
+            lambda: run_cond_ratio_sweep(4, 15.0, [0.1, math.nan], trials=1),
+            lambda: run_min_singular_cdf([4], grid=(0.5, math.nan), trials=1),
+            lambda: run_min_singular_cdf([4], tail_grid=(math.nan,), trials=1),
+        ],
+        ids=["gain-snr", "ber-snr", "condratio-sigma-min", "cdf-grid", "cdf-tail-grid"],
+    )
+    def test_a_nan_grid_point_is_the_grid_rules_error(self, call):
+        with pytest.raises(ValueError, match="must be nonempty, without NaN"):
+            call()
+
+
 def test_integral_floats_count_as_integers():
     exact = run_table1([2], trials=10, master_seed=3, workers=1)
     floats = run_table1([2.0], trials=10.0, master_seed=3.0, workers=1.0)
@@ -865,3 +881,44 @@ class TestDistortionOracle:
         distortion = math.fsum(float(np.sum(column)) for [column] in blocks)
         oracle = experiments.empirical_distortion_snr(h, w, NoiseModel(0.2), 9000, rng)
         assert oracle == 2 * 9000 / distortion
+
+
+class TestStandardErrors:
+    """``_mean_se`` of the reduced triples against a two-pass SE of the same per-trial columns.
+
+    The one-pass ``(total_sq - n mean^2) / (n - 1)`` could cancel; these
+    columns keep its relative gap to ``std(ddof=1) / sqrt(n)`` near 1e-15.
+    """
+
+    @staticmethod
+    def _assert_two_pass(kernel, key, args, trials):
+        blocks = []
+
+        def recording(*a):
+            blocks.append(kernel(*a))
+            return blocks[-1]
+
+        reduced = experiments._reduce(recording, 11, key, args, trials, 1)
+        assert len(blocks) > 1
+        for triple, column in zip(reduced, zip(*blocks)):
+            x = np.concatenate(column).astype(float)
+            mean, se = experiments._mean_se(*triple)
+            assert mean == pytest.approx(np.mean(x), rel=1e-12)
+            assert se == pytest.approx(np.std(x, ddof=1) / math.sqrt(x.size), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4, 12, 20])
+    def test_table1_and_gain(self, n):
+        self._assert_two_pass(experiments._table1_block, (1, n), (n,), 16384)
+        for snr in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0):
+            variance = noise_var_from_snr(snr, n).variance
+            self._assert_two_pass(experiments._gain_block, (2, n), (n, variance), 16384)
+
+    @pytest.mark.parametrize("floor", [0.0, 0.3])
+    def test_ber_and_paired_difference(self, floor):
+        variance = noise_var_from_snr(10.0, 4).variance
+        self._assert_two_pass(experiments._ber_block, (5,), (4, variance, floor), 16384)
+
+    def test_distortion_oracle(self):
+        h = channel.normalize(channel.sample_standard_gaussian(4, RngStream(12))).matrix
+        w = detection.zf_filter(h).matrix
+        self._assert_two_pass(experiments._distortion_block, (200,), (4, h, w, 0.1), 16384)

@@ -33,6 +33,10 @@ class TestSvd:
         with pytest.raises(DimensionError):
             linalg.singular_values(np.ones(4))
 
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionError, match="matrix must be nonempty"):
+            linalg.as_complex_matrix(np.zeros((0, 0)))
+
 
 class TestGram:
     def test_diagonal(self):
@@ -134,13 +138,17 @@ class TestSpectrumValidation:
         with pytest.raises(ValueError):
             linalg.as_spectrum([1.0, -0.5])
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.as_spectrum([1.0, math.nan])
+
     def test_rejects_empty(self):
         with pytest.raises(DimensionError):
             linalg.as_spectrum([])
 
 
 class TestInputRules:
-    """The count, finite-real and grid rules, each at a minimum of 2 where it has one."""
+    """The count, dimension, finite-real and grid rules, each at a minimum of 2 where it has one."""
 
     @pytest.mark.parametrize(
         "value, expected",
@@ -159,6 +167,13 @@ class TestInputRules:
         else:
             got = linalg._integer("count", value, 2)
             assert got == expected and type(got) is int
+
+    @pytest.mark.parametrize("value", [2.5, True, "2", 1, math.nan])
+    def test_dimension(self, value):
+        # the count rule, broken as a DimensionError (a ValueError)
+        with pytest.raises(DimensionError, match="n must be"):
+            linalg._dimension("n", value, 2)
+        assert linalg._dimension("n", 4.0, 2) == 4
 
     @pytest.mark.parametrize(
         "value, expected",
@@ -183,9 +198,10 @@ class TestInputRules:
             (np.array([0.5, -1.0]), (0.5, -1.0)),
             (range(2, 0, -1), (2.0, 1.0)),
             ((), None), ([], None), ("10", None), ("", None), (b"10", None),
+            ([1.0, math.nan], None), (np.array([math.nan]), None),
         ],
         ids=["counts", "array", "range", "empty-tuple", "empty-list", "str", "empty-str",
-             "bytes"],
+             "bytes", "nan", "nan-array"],
     )
     def test_grid(self, values, expected):
         if expected is None:

@@ -97,6 +97,13 @@ def test_suite_runs_the_eleven_checks_in_order():
     ]
 
 
+@pytest.mark.parametrize("seed", [0.5, True, -1, "3"])
+def test_suite_seed_follows_the_count_rule(seed, monkeypatch):
+    monkeypatch.setattr(properties, "check_weyl_validity", lambda *a: pytest.fail("a check ran"))
+    with pytest.raises(ValueError, match="master_seed must be"):
+        properties.run_property_suite(seed)
+
+
 def test_no_check_uses_the_validated_linalg_layer():
     assert "linalg" not in vars(properties)
 
