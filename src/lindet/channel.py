@@ -293,48 +293,71 @@ def _sigma_min_below(d: np.ndarray, e: np.ndarray, grid) -> np.ndarray:
     """Booleans ``(count, len(grid))``: is the smallest singular value of B below x?
 
     B is upper bidiagonal with diagonals ``d (count, n)`` and superdiagonals
-    ``e (count, n - 1)``.  Its Golub-Kahan form, the ``2n x 2n`` tridiagonal
+    ``e (count, n - 1)``.  Its Golub-Kahan form T, the ``2n x 2n`` tridiagonal
     with zero diagonal and off-diagonals ``(d_1, e_1, d_2, ..., d_n)``, has
     eigenvalues ``+-sigma_i``, so for x > 0 some ``sigma_i < x`` exactly
-    when more than n of its eigenvalues lie below x: more than n positive
-    pivots of ``xI - T``.  Each trial bisects over the sorted positive grid
-    points with one such Sturm count per probe, which decides to high
-    relative accuracy (Demmel & Kahan 1990) without decomposing B.  A pivot
-    within ``pivmin`` of zero is replaced by ``pivmin`` as in LAPACK's
-    ``dlaebz``.  No singular value is below an ``x <= 0`` or a NaN.
+    when more than n of its eigenvalues lie below x: more than n negative
+    pivots ``q_1 = -x``, ``q_{k+1} = -x - c_k / q_k`` of ``T - xI``, with
+    ``c_k`` the squared off-diagonals.  Each trial bisects over the sorted
+    positive grid points with one such Sturm count per probe, which decides
+    to high relative accuracy (Demmel & Kahan 1990) without decomposing B.
+    As in LAPACK's ``dlaneg`` the pivots run in IEEE arithmetic, unguarded:
+    a zero pivot is ``+0`` (a difference of equal numbers), counts as
+    nonnegative and makes the next one ``-inf``, which counts in its place,
+    and a zero last pivot makes x a singular value, not below itself; an
+    overflow or underflow changes no sign.  A NaN pivot comes only from
+    ``0 / 0``, a zero ``c_k`` meeting a zero pivot, or from infinite
+    entries, and stays NaN to the last row: such a trial is recounted for
+    that probe with the ``pivmin``-guarded recurrence of LAPACK's ``dlaebz``
+    (:func:`_guarded_count`).  No singular value is below an ``x <= 0`` or
+    a NaN.
     """
     count, n = d.shape
     c2 = np.empty((2 * n - 1, count))
     c2[0::2] = (d * d).T
     c2[1::2] = (e * e).T
-    pivmin = np.finfo(float).tiny * np.maximum(1.0, c2.max(axis=0))
     grid = np.asarray(grid, dtype=float)
     xs = np.sort(grid[grid > 0.0])
     # Trial t is below xs[j] exactly for j >= lo[t]; bisect on lo in [0, xs.size].
     lo = np.zeros(count, dtype=np.intp)
     hi = np.full(count, xs.size, dtype=np.intp)
-    positive = np.empty(c2.shape, dtype=bool)
-    p = np.empty(count)
-    t = np.empty(count)
-    small = np.empty(count, dtype=bool)
+    negative = np.empty(c2.shape, dtype=bool)
+    q = np.empty(count)
     for _ in range(xs.size.bit_length()):
         mid = (lo + hi) // 2
-        x = xs[np.minimum(mid, xs.size - 1)]
-        # p is minus the pivot of T - xI; the first one, x, is positive.
-        np.maximum(x, pivmin, out=p)
-        # A quotient may underflow and a pivot overflow to inf; no sign changes.
-        with np.errstate(over="ignore", under="ignore"):
-            for k, ck in enumerate(c2):
-                np.divide(ck, p, out=t)
-                np.subtract(x, t, out=p)
-                np.less(np.abs(p, out=t), pivmin, out=small)
-                if small.any():
-                    p[small] = pivmin[small]
-                np.greater(p, 0.0, out=positive[k])
-        below = np.count_nonzero(positive, axis=0) >= n
+        neg_x = -xs[np.minimum(mid, xs.size - 1)]
+        q[:] = neg_x
+        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+            for ck, neg in zip(c2, negative):
+                np.divide(ck, q, out=q)
+                np.subtract(neg_x, q, out=q)
+                np.less(q, 0.0, out=neg)
+        below = np.count_nonzero(negative, axis=0) >= n
+        nan = np.flatnonzero(np.isnan(q))
+        if nan.size:
+            below[nan] = _guarded_count(c2[:, nan], -neg_x[nan]) >= n
         hi = np.where(below, mid, hi)
         lo = np.where(below | (lo == hi), lo, mid + 1)
     return (grid > 0.0) & (np.searchsorted(xs, grid) >= lo[:, None])
+
+
+def _guarded_count(c2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Negative pivots of ``T - xI`` after the first, for the columns of ``c2``.
+
+    The recurrence of :func:`_sigma_min_below` with every pivot within
+    ``pivmin`` of zero replaced by ``-pivmin``, as in LAPACK's ``dlaebz``, so
+    no pivot is zero or NaN.
+    """
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, c2.max(axis=0))
+    # p is minus the pivot; the first one, x, is positive.
+    p = np.maximum(x, pivmin)
+    count = np.zeros(x.shape, dtype=np.intp)
+    with np.errstate(over="ignore", under="ignore"):
+        for ck in c2:
+            p = x - ck / p
+            p = np.where(np.abs(p) < pivmin, pivmin, p)
+            count += p > 0.0
+    return count
 
 
 def _floored_spectra(g: np.random.Generator, count: int, n: int, floor: float, max_attempts: int):

@@ -14,11 +14,13 @@ are scheduled.  Runners derive means and standard errors from those
 triples alone.  The block fixes the streams: a kernel makes its block's
 draws in one order.  How a block is cut into slices, and what the slice
 fixes, is stated once in README ("Blocks and slices").
-With ``workers > 1`` each grid point's blocks run in a process pool whose
-workers are forked after the parent has loaded every module a kernel needs
-(:func:`_run_blocks`), so a worker does only block work.  A kernel must
-therefore not import lazily, nor call a NumPy function that does (such as
-``np.unique``, which loads ``numpy.ma``).  The pool class is the
+With ``workers > 1`` the blocks run in a process pool whose workers are
+forked after the parent has loaded every module a kernel needs
+(:func:`_run_blocks`), so a worker does only block work.  The table1 and
+cdf runners send all their grid points' blocks through one pool
+(:func:`_reduce_points`); gain and BER start one per grid point.  A
+kernel must therefore not import lazily, nor call a NumPy function that
+does (such as ``np.unique``, which loads ``numpy.ma``).  The pool class is the
 module-level name ``ProcessPoolExecutor``, which tests and the bench
 tracer replace; it is ``None`` until the first pool starts.
 This module holds that scheduling and reduction, and the block kernels,
@@ -99,6 +101,10 @@ _BLOCK = 8192
 #: ``min(8192, BLOCK_ELEMENTS // N**2)`` matrices, and at least one.
 BLOCK_ELEMENTS = 2**22
 
+#: Largest N whose ``N x N`` matrix fits ``BLOCK_ELEMENTS``: the table1, gain
+#: and BER runners, which hold dense matrices, reject a larger one.
+_DENSE_MAX = math.isqrt(BLOCK_ELEMENTS)
+
 #: Version of the map from a stream address to the draws it feeds; it
 #: changes whenever a runner's output bytes change on purpose.
 STREAM_LAYOUT = 6
@@ -163,7 +169,12 @@ def noise_var_from_inverse_snr(snr_db: float) -> NoiseModel:
 
 
 def _noise_model(variance, snr_db) -> NoiseModel:
-    """``NoiseModel(variance())``; a power of ten beyond the float range is a ValueError."""
+    """``NoiseModel(variance())``; a power of ten beyond the float range is a ValueError.
+
+    ``snr_db`` must be a real number that is not a bool (:func:`lindet.linalg._is_real`).
+    """
+    if not linalg._is_real(snr_db):
+        raise ValueError(f"snr_db must be a real number, got {snr_db!r}")
     try:
         return NoiseModel(variance())
     except (OverflowError, ZeroDivisionError):
@@ -249,12 +260,29 @@ def _reduce(kernel, seed: int, key_prefix: tuple, args: tuple, trials: int, work
     ``math.fsum``, so the result does not depend on ``workers``.  Every
     value is a Python ``int``, ``float`` or ``list``.
     """
+    [reduced] = _reduce_points([(kernel, seed, key_prefix, args, trials)], workers)
+    return reduced
+
+
+def _reduce_points(points: list, workers: int) -> list:
+    """:func:`_reduce` of each ``(kernel, seed, key_prefix, args, trials)`` point.
+
+    All the points' block tasks go through one :func:`_run_blocks` call, so
+    a run of several points starts at most one pool; each point's blocks
+    and their merge are those of :func:`_reduce` alone.
+    """
+    sizes = [_block_sizes(trials, _block_matrices(args[0])) for *_, args, trials in points]
     tasks = [
         (kernel, seed, key_prefix + (i,), args, size)
-        for i, size in enumerate(_block_sizes(trials, _block_matrices(args[0])))
+        for (kernel, seed, key_prefix, args, _), point in zip(points, sizes)
+        for i, size in enumerate(point)
     ]
-    parts = _run_blocks(_run_block, tasks, workers)
-    return [tuple(_exact_sum(v) for v in zip(*blocks)) for blocks in zip(*parts)]
+    parts = iter(_run_blocks(_run_block, tasks, workers))
+    reduced = []
+    for point in sizes:
+        blocks = [next(parts) for _ in point]
+        reduced.append([tuple(_exact_sum(v) for v in zip(*column)) for column in zip(*blocks)])
+    return reduced
 
 
 def _mean_se(count: int, total: float, total_sq: float) -> tuple[float, float]:
@@ -267,17 +295,24 @@ def _mean_se(count: int, total: float, total_sq: float) -> tuple[float, float]:
     return mean, math.sqrt(var / count)
 
 
-def _check_run(dims, trials: int, master_seed: int, workers: int):
+def _check_run(dims, trials: int, master_seed: int, workers: int, name="dims", dense=True):
     """The checks every runner shares, made before any block runs.
 
-    ``dims`` is nonempty and each is a dimension >= 2
-    (:func:`lindet.linalg._dimension`); ``trials``, ``master_seed`` and
+    ``dims`` (the parameter ``name``) is nonempty and each is a dimension
+    >= 2 (:func:`lindet.linalg._dimension`); a runner that holds dense
+    ``N x N`` matrices (``dense``) also needs ``N**2 <= BLOCK_ELEMENTS``, so
+    N <= 2048 (``_DENSE_MAX``).  ``trials``, ``master_seed`` and
     ``workers`` follow the count rule of :func:`lindet.linalg._integer` with
     minimums 1, 0 and 1.  Returns them as ints.
     """
-    dims = tuple(linalg._dimension("dims", n, 2) for n in dims)
+    dims = tuple(linalg._dimension(name, n, 2) for n in dims)
     if not dims:
-        raise ValueError("dims must be nonempty")
+        raise ValueError(f"{name} must be nonempty")
+    if dense and max(dims) > _DENSE_MAX:
+        raise DimensionError(
+            f"{name} must be <= {_DENSE_MAX}, got {max(dims)}: one dense N x N matrix "
+            f"would exceed BLOCK_ELEMENTS = {BLOCK_ELEMENTS} elements"
+        )
     trials = linalg._integer("trials", trials, 1)
     master_seed = linalg._integer("master_seed", master_seed, 0)
     workers = linalg._integer("workers", workers, 1)
@@ -335,9 +370,9 @@ def run_table1(
     trusted for trial counts of roughly a thousand or more.
     """
     dims, trials, master_seed, workers = _check_run(dims, trials, master_seed, workers)
+    points = [(_table1_block, master_seed, (_TAG_TABLE1, n), (n,), trials) for n in dims]
     rows = []
-    for n in dims:
-        smin, cond = _reduce(_table1_block, master_seed, (_TAG_TABLE1, n), (n,), trials, workers)
+    for n, (smin, cond) in zip(dims, _reduce_points(points, workers)):
         mean_s, se_s = _mean_se(*smin)
         mean_c, se_c = _mean_se(*cond)
         rows.append(
@@ -443,7 +478,7 @@ def run_min_singular_cdf(
     point, are computed before any block runs, so a point outside its domain
     is a ValueError first.
     """
-    dims, trials, master_seed, workers = _check_run(dims, trials, master_seed, workers)
+    dims, trials, master_seed, workers = _check_run(dims, trials, master_seed, workers, dense=False)
     grid = linalg._grid("grid", grid)
     tail_grid = linalg._grid("tail_grid", tail_grid)
     tail_refs = [edelman_tail(x) for x in tail_grid]
@@ -451,9 +486,10 @@ def run_min_singular_cdf(
     sweeps.append(
         ("tail_scaled_sigma_min", max(dims), tail_grid, _edelman_block, _TAG_EDELMAN, tail_refs)
     )
+    points = [(kern, master_seed, (tag, n), (n, xs), trials) for _, n, xs, kern, tag, _ in sweeps]
     rows = []
-    for statistic, n, xs, kernel, tag, references in sweeps:
-        [(count, hits, _)] = _reduce(kernel, master_seed, (tag, n), (n, xs), trials, workers)
+    for sweep, [(count, hits, _)] in zip(sweeps, _reduce_points(points, workers)):
+        statistic, n, xs, *_, references = sweep
         for x, k, reference in zip(xs, hits, references):
             p = k / count
             rows.append(
@@ -531,7 +567,7 @@ def run_ber_sweep(
     kernel and checks of :func:`lindet.channel.sample_floored` with its
     default budget; the checks run before any block.
     """
-    (n,), trials, master_seed, workers = _check_run((n,), trials, master_seed, workers)
+    (n,), trials, master_seed, workers = _check_run((n,), trials, master_seed, workers, "n")
     snr_grid_db = linalg._grid("snr_grid_db", snr_grid_db)
     floor = _check_floor(n, sigma_min_floor)
     variances = [noise_var_from_snr(snr_db, n).variance for snr_db in snr_grid_db]
@@ -629,7 +665,9 @@ def run_cond_ratio_sweep(
     ``workers`` are checked like every runner's and ``trials`` and
     ``master_seed`` are stamped on the table, but they change no value.
     """
-    (n,), trials, master_seed, workers = _check_run((n,), trials, master_seed, workers)
+    (n,), trials, master_seed, workers = _check_run(
+        (n,), trials, master_seed, workers, "n", dense=False
+    )
     cond_target, sigma_min_grid = _check_spectrum(cond_target, sigma_min_grid)
     noise = noise_var_from_inverse_snr(snr_db)
     rows = []

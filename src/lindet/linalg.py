@@ -57,6 +57,14 @@ def as_spectrum(values, name="spectrum") -> np.ndarray:
     return s
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool, the type every numeric rule takes.
+
+    ``np.bool_`` is no ``numbers.Real``; strings, bytes and 0-d arrays are not either.
+    """
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _integer(name: str, value, minimum: int) -> int:
     """``value`` as an ``int`` >= ``minimum``, the rule for every count.
 
@@ -64,8 +72,7 @@ def _integer(name: str, value, minimum: int) -> int:
     a ValueError.  Every value goes through ``float``, so one beyond the float
     range is an OverflowError, and ``int(value)`` keeps a large int exact.
     """
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and float(value).is_integer()):
+    if not (_is_real(value) and float(value).is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
@@ -81,7 +88,12 @@ def _dimension(name: str, value, minimum: int) -> int:
 
 
 def _real(name: str, value, minimum: float) -> float:
-    """``value`` as a float, finite and >= ``minimum``, else a ValueError."""
+    """``value`` as a float, finite and >= ``minimum``, else a ValueError.
+
+    Bools, strings and other non-reals (:func:`_is_real`) are a ValueError too.
+    """
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     v = float(value)
     if not math.isfinite(v) or v < minimum:
         raise ValueError(f"{name} must be finite and >= {minimum:g}, got {value!r}")
@@ -89,10 +101,14 @@ def _real(name: str, value, minimum: float) -> float:
 
 
 def _grid(name: str, values) -> tuple[float, ...]:
-    """``values`` as a nonempty tuple of floats, none NaN; a string is not a grid."""
-    if isinstance(values, (str, bytes)):
-        raise ValueError(f"{name} must be a sequence of numbers, got {values!r}")
-    grid = tuple(float(x) for x in values)
+    """``values`` as a nonempty tuple of floats, none NaN; a string is not a grid.
+
+    Each element is a real number that is not a bool (:func:`_is_real`).
+    """
+    items = None if isinstance(values, (str, bytes)) else tuple(values)
+    if items is None or not all(_is_real(x) for x in items):
+        raise ValueError(f"{name} must be a sequence of real numbers, got {values!r}")
+    grid = tuple(float(x) for x in items)
     if not grid or any(math.isnan(x) for x in grid):
         raise ValueError(f"{name} must be nonempty, without NaN")
     return grid

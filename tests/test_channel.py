@@ -264,6 +264,47 @@ class TestSigmaMinBelow:
         # A zero on the diagonal makes B singular: below every positive x.
         assert np.all(got[:20, 1:]) and np.all(got[20:50, 1:])
 
+    def test_zero_pivot_meeting_a_zero_entry_is_recounted(self, monkeypatch):
+        # d_1 = x = 1 makes the pivot -x - d_1^2 / (-x) exactly +0, and e_1 = 0
+        # turns the next one into 0/0: NaN to the last row.  The probe at
+        # x = 1 (the first, the grid's middle point) recounts those trials
+        # with the guarded recurrence; a 0.5 or a 0.3 below makes them below.
+        d = np.array([[1.0, 0.5], [1.0, 0.3], [1.0, 2.0]])
+        e = np.array([[0.0], [0.0], [0.5]])
+        recounted = []
+
+        def recording(c2, x):
+            recounted.append(c2.shape[1])
+            return guarded(c2, x)
+
+        guarded = channel._guarded_count
+        monkeypatch.setattr(channel, "_guarded_count", recording)
+        grid = (0.25, 1.0, 4.0)
+        got = channel._sigma_min_below(d, e, grid)
+        assert recounted == [2]
+        np.testing.assert_array_equal(got, _svd_below(d, e, grid))
+        np.testing.assert_array_equal(got[:2], [[False, True, True]] * 2)
+
+    def test_zero_pivot_then_a_nonzero_entry(self):
+        # The +0 pivot counts as nonnegative and makes the next one -inf,
+        # which counts in its place; the pivot after that is -x again.
+        g = np.random.default_rng(11)
+        d, e = _graded(g, 40, 5, 1)
+        d[:, 0] = 1.0
+        d[20:, 2] = 0.0
+        grid = (0.05, 1.0, 20.0)
+        got = channel._sigma_min_below(d, e, grid)
+        np.testing.assert_array_equal(got, _svd_below(d, e, grid))
+        # B^T B - I has the determinant -e_1^2 < 0 on its leading 2 x 2 block.
+        assert np.all(got[:, 1:])
+
+    def test_zero_last_pivot_is_a_singular_value_not_below_itself(self):
+        # B = diag(2, 1) at x = 1: the pivots are -1, 3, -1 and exactly +0.
+        d, e = np.array([[2.0, 1.0], [2.0, 0.5]]), np.array([[0.0], [0.0]])
+        got = channel._sigma_min_below(d, e, (1.0,))
+        np.testing.assert_array_equal(got, _svd_below(d, e, (1.0,)))
+        np.testing.assert_array_equal(got, [[False], [True]])
+
     def test_nothing_is_below_zero_or_nan(self):
         d, e = _graded(np.random.default_rng(8), 30, 4, 1)
         d[:10, 1] = 0.0
@@ -286,6 +327,68 @@ class TestSigmaMinBelow:
         order = np.argsort(grid)
         np.testing.assert_array_equal(got[:, order], channel._sigma_min_below(d, e, grid[order]))
         np.testing.assert_array_equal(got, _svd_below(d, e, grid))
+
+
+def _exact_cdf(x, n):
+    """``P[sigma_min < x]`` of a normalized ``n x n`` CN(0, 1) channel, for ``0 <= x <= sqrt(n)``.
+
+    ``H = N G / ||G||_F``; ``N sigma_min(G)^2`` ~ Exp(1) (Edelman 1988) and
+    ``||G||_F^2`` ~ Gamma(N^2, 1) is independent of ``G / ||G||_F``, so
+    ``sigma_min(H)^2 / N`` ~ Beta(1, N^2 - 1).
+    """
+    return 1.0 - (1.0 - x * x / n) ** (n * n - 1)
+
+
+def _z(hits, trials, p):
+    """Binomial z-score of ``hits`` out of ``trials`` against the probability ``p``."""
+    return (hits / trials - p) / np.sqrt(p * (1.0 - p) / trials)
+
+
+class TestExactLaws:
+    """The bidiagonal model and its Sturm counts against the exact law of the ensemble.
+
+    Each z-score is a binomial count against its exact probability, and a
+    test fails when some |z| exceeds 4.5: under the law that happens with
+    probability below 7e-6 a point, so below 1e-4 for the 9 points of one
+    test at a fresh seed.  At these seeds the largest |z| is 2.2.  A
+    normalization scaled by 1.01 fails every test but one: the largest
+    |z| is 11.9, 6.6 and 6.9 at N = 2, 4 and 8, and 5.1 and 5.8 for the
+    acceptance at f = 0.3 and 0.6.  At N = 64 the 32768 trials reach 3.5
+    for a 1% scale error, and fail at 2% (6.4).
+    """
+
+    @pytest.mark.parametrize("n, trials", [(2, 196608), (4, 196608), (8, 196608), (64, 32768)])
+    def test_sigma_min_cdf(self, n, trials):
+        p = np.array([0.02, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.98])
+        grid = np.sqrt(n * (1.0 - (1.0 - p) ** (1.0 / (n * n - 1))))
+        np.testing.assert_allclose(_exact_cdf(grid, n), p, rtol=1e-10)
+        g = RngStream(31, (n,)).generator()
+        hits = sum(
+            np.count_nonzero(
+                channel._sigma_min_below(*channel._normalized_bidiagonal(g, 8192, n), grid), axis=0
+            )
+            for _ in range(trials // 8192)
+        )
+        z = _z(hits, trials, p)
+        assert np.max(np.abs(z)) <= 4.5, z
+
+    @pytest.mark.parametrize("floor, count", [(0.3, 140000), (0.6, 50000)])
+    def test_floored_acceptance(self, floor, count, monkeypatch):
+        # Every candidate _floored_spectra draws gets one Sturm answer, and
+        # is accepted with probability (1 - f^2/N)^(N^2 - 1).
+        n, answers, kernel = 4, [], channel._sigma_min_below
+
+        def recording(d, e, grid):
+            answers.append(kernel(d, e, grid)[:, 0])
+            return answers[-1][:, None]
+
+        monkeypatch.setattr(channel, "_sigma_min_below", recording)
+        s = channel._floored_spectra(RngStream(32).generator(), count, n, floor, 1000)
+        assert s.shape == (count, n) and np.all(s[:, -1] >= floor)
+        below = np.concatenate(answers)
+        p = 1.0 - _exact_cdf(floor, n)
+        z = _z(np.count_nonzero(~below), below.size, p)
+        assert abs(z) <= 4.5, (below.size, z)
 
 
 class TestNormalize:

@@ -167,10 +167,15 @@ class TestExitCodes:
             ["table1", "--dims", "2", "--trials", "1" + "0" * 30],
             ["table1", "--dims", "1" + "0" * 400],
             ["props", "--seed", "-1"],
+            ["table1", "--dims", "2049"],
+            ["gain", "--dims", "4,2049"],
+            ["ber", "--n", "4096"],
+            ["ber", "--n", "1"],
         ],
         ids=["ber-4000", "condratio-minus-4000", "gain-minus-4000", "gain-minus-inf", "ber-nan",
              "trials-0", "dims-1", "workers-0", "seed-minus-1", "sigma-min-minus-1", "cond-0.5",
-             "trials-1e30", "dims-401-digits", "props-seed-minus-1"],
+             "trials-1e30", "dims-401-digits", "props-seed-minus-1", "table1-dims-2049",
+             "gain-dims-2049", "ber-n-4096", "ber-n-1"],
     )
     def test_snr_without_a_noise_variance_fails_fast(self, argv, capsys, tmp_path, monkeypatch):
         # like these SNRs, every value that parses but that a runner rejects
@@ -181,6 +186,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ber", "--n", "1"], "n must be >= 2, got 1"),
+            (["ber", "--n", "2049"], "n must be <= 2048, got 2049"),
+            (["table1", "--dims", "2,2049"], "dims must be <= 2048, got 2049"),
+        ],
+    )
+    def test_dimension_errors_name_the_flag(self, argv, message, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "_run_blocks", lambda *a: pytest.fail("a block ran"))
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("snr", ["1e20:1e20:1", "0:1e12:1", "nan:1:1", "1:2", "5:0:1"])
     def test_bad_snr_range_is_a_usage_error(self, snr, capsys):

@@ -106,16 +106,43 @@ class TestRunnerChecks:
 
     @pytest.mark.parametrize("runner", _ALL_RUNNERS, ids=_name)
     def test_rejects_small_dims(self, runner):
-        small = {"dims": (4, 1)} if runner in _DIMS_RUNNERS else {"n": 1}
-        with pytest.raises(ValueError):
+        # the error names the parameter: n for ber and condratio, as the CLI flag
+        name = "dims" if runner in _DIMS_RUNNERS else "n"
+        small = {name: (4, 1) if name == "dims" else 1}
+        with pytest.raises(DimensionError, match=f"^{name} must be >= 2, got 1"):
             runner(**small, trials=1)
 
     @pytest.mark.parametrize("value", [4.5, math.inf, "2", True])
     @pytest.mark.parametrize("runner", _ALL_RUNNERS, ids=_name)
     def test_rejects_non_integral_dims(self, runner, value):
-        bad = {"dims": (4, value)} if runner in _DIMS_RUNNERS else {"n": value}
-        with pytest.raises(ValueError, match="dims must be an integer"):
+        name = "dims" if runner in _DIMS_RUNNERS else "n"
+        bad = {name: (4, value) if name == "dims" else value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             runner(**bad, trials=1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: run_table1([2, n], trials=1),
+            lambda n: run_gain_sweep([n], [10.0], trials=1),
+            lambda n: run_ber_sweep(n, [10.0], trials=1),
+            lambda n: run_ber_sweep(n, [10.0], sigma_min_floor=0.3, trials=1),
+        ],
+        ids=["table1", "gain", "ber", "ber-floored"],
+    )
+    def test_dense_runners_bound_n_by_the_block_budget(self, call):
+        # N = 2048 fills BLOCK_ELEMENTS = 2**22 with one matrix and reaches
+        # the (patched) blocks; N = 2049 fails first, allocating nothing.
+        with pytest.raises(AssertionError, match="a block ran"):
+            call(2048)
+        with pytest.raises(DimensionError, match="must be <= 2048, got 2049"):
+            call(2049)
+
+    def test_runners_without_dense_matrices_take_any_n(self):
+        # cdf holds O(N) floats a trial, and condratio only closed forms
+        with pytest.raises(AssertionError, match="a block ran"):
+            run_min_singular_cdf([4, 10**6], trials=1)
+        assert len(run_cond_ratio_sweep(10**5, 15.0, [0.1], trials=1).rows) == 1
 
     @pytest.mark.parametrize("runner", _DIMS_RUNNERS, ids=_name)
     def test_rejects_empty_dims(self, runner):
@@ -641,6 +668,23 @@ class TestRunBlocks:
         capped = run_gain_sweep([2], [10.0], trials=9000, master_seed=4, workers=100000)
         assert pool.sizes == [2]
         assert capped.rows == run_gain_sweep([2], [10.0], trials=9000, master_seed=4).rows
+
+    @pytest.mark.parametrize(
+        "runner, pools",
+        [
+            (lambda **kw: run_min_singular_cdf([2, 4], **kw), 1),
+            (lambda **kw: run_table1([2, 4], **kw), 1),
+            (lambda **kw: run_gain_sweep([4], [0, 10], **kw), 2),
+        ],
+        ids=["cdf", "table1", "gain"],
+    )
+    def test_pools_per_run(self, pool, monkeypatch, runner, pools):
+        # 9000 trials are two blocks a point: cdf and table1 run all their
+        # points' blocks through one pool, gain starts one per grid point.
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+        pooled = runner(trials=9000, master_seed=3, workers=2)
+        assert pool.sizes == [2] * pools
+        assert pooled.rows == runner(trials=9000, master_seed=3, workers=1).rows
 
     @pytest.mark.skipif(
         multiprocessing.get_all_start_methods()[0] != "fork" or len(os.sched_getaffinity(0)) < 2,

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lindet import detection, linalg
+from lindet import detection, experiments, linalg
 from lindet.analysis import cond_ratio_exact
 from lindet.channel import NoiseModel, RngStream, complex_gaussian
 from lindet.exceptions import DimensionError, SingularMatrixError
+from lindet.experiments import noise_var_from_snr, run_ber_sweep, run_cond_ratio_sweep
 
 
 def _random_matrix(n, seed):
@@ -199,9 +200,13 @@ class TestInputRules:
             (range(2, 0, -1), (2.0, 1.0)),
             ((), None), ([], None), ("10", None), ("", None), (b"10", None),
             ([1.0, math.nan], None), (np.array([math.nan]), None),
+            ((x for x in (2, 0.5)), (2.0, 0.5)),
+            (["10"], None), ([b"1"], None), ([1.0, True], None), ([np.True_], None),
+            (np.array([True, False]), None),
         ],
         ids=["counts", "array", "range", "empty-tuple", "empty-list", "str", "empty-str",
-             "bytes", "nan", "nan-array"],
+             "bytes", "nan", "nan-array", "generator", "str-element", "bytes-element",
+             "bool-element", "np.True_-element", "bool-array"],
     )
     def test_grid(self, values, expected):
         if expected is None:
@@ -210,3 +215,35 @@ class TestInputRules:
         else:
             got = linalg._grid("grid", values)
             assert got == expected and all(type(x) is float for x in got)
+
+    @pytest.mark.parametrize(
+        "value", [True, np.True_, "3", b"3", np.array(3.0), 3j],
+        ids=["True", "np.True_", "str", "bytes", "0-d-array", "complex"],
+    )
+    def test_real_takes_only_real_numbers(self, value):
+        # the count rule's types: numeric strings and bools are no reals
+        with pytest.raises(ValueError, match="x must be a real number"):
+            linalg._real("x", value, 2.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: NoiseModel("0.1"),
+            lambda: NoiseModel(True),
+            lambda: run_ber_sweep(4, ["10"], trials=1),
+            lambda: run_ber_sweep(4, [10.0], sigma_min_floor="0.3", trials=1),
+            lambda: run_cond_ratio_sweep(4, "15", [0.5], trials=1),
+            lambda: run_cond_ratio_sweep(4, 15.0, [True], trials=1),
+            lambda: run_cond_ratio_sweep(4, 15.0, [0.5], snr_db="10", trials=1),
+            lambda: noise_var_from_snr(True, 4),
+        ],
+        ids=["noise-str", "noise-bool", "ber-snr-str", "ber-floor-str", "cond-str",
+             "sigma-min-bool", "cond-snr-str", "snr-bool"],
+    )
+    def test_library_callers_meet_the_rules_before_any_block(self, call, monkeypatch):
+        def run_blocks(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(experiments, "_run_blocks", run_blocks)
+        with pytest.raises(ValueError, match="must be a"):
+            call()
