@@ -305,12 +305,11 @@ def _sigma_min_below(d: np.ndarray, e: np.ndarray, grid) -> np.ndarray:
     a zero pivot is ``+0`` (a difference of equal numbers), counts as
     nonnegative and makes the next one ``-inf``, which counts in its place,
     and a zero last pivot makes x a singular value, not below itself; an
-    overflow or underflow changes no sign.  A NaN pivot comes only from
-    ``0 / 0``, a zero ``c_k`` meeting a zero pivot, or from infinite
-    entries, and stays NaN to the last row: such a trial is recounted for
-    that probe with the ``pivmin``-guarded recurrence of LAPACK's ``dlaebz``
-    (:func:`_guarded_count`).  No singular value is below an ``x <= 0`` or
-    a NaN.
+    overflow or underflow changes no sign.  A zero ``c_k`` splits T, so the
+    count restarts after it: the next pivot is ``-x`` whatever came before,
+    the ``0 / 0`` of a zero pivot included.  The entries and their squares
+    must be finite; then no pivot is NaN.  No singular value is below an
+    ``x <= 0`` or a NaN.
     """
     count, n = d.shape
     c2 = np.empty((2 * n - 1, count))
@@ -322,42 +321,23 @@ def _sigma_min_below(d: np.ndarray, e: np.ndarray, grid) -> np.ndarray:
     lo = np.zeros(count, dtype=np.intp)
     hi = np.full(count, xs.size, dtype=np.intp)
     negative = np.empty(c2.shape, dtype=bool)
+    splits = ~c2.all(axis=1)
     q = np.empty(count)
     for _ in range(xs.size.bit_length()):
         mid = (lo + hi) // 2
         neg_x = -xs[np.minimum(mid, xs.size - 1)]
         q[:] = neg_x
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-            for ck, neg in zip(c2, negative):
+            for ck, neg, split in zip(c2, negative, splits):
                 np.divide(ck, q, out=q)
                 np.subtract(neg_x, q, out=q)
+                if split:
+                    np.copyto(q, neg_x, where=ck == 0.0)
                 np.less(q, 0.0, out=neg)
         below = np.count_nonzero(negative, axis=0) >= n
-        nan = np.flatnonzero(np.isnan(q))
-        if nan.size:
-            below[nan] = _guarded_count(c2[:, nan], -neg_x[nan]) >= n
         hi = np.where(below, mid, hi)
         lo = np.where(below | (lo == hi), lo, mid + 1)
     return (grid > 0.0) & (np.searchsorted(xs, grid) >= lo[:, None])
-
-
-def _guarded_count(c2: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Negative pivots of ``T - xI`` after the first, for the columns of ``c2``.
-
-    The recurrence of :func:`_sigma_min_below` with every pivot within
-    ``pivmin`` of zero replaced by ``-pivmin``, as in LAPACK's ``dlaebz``, so
-    no pivot is zero or NaN.
-    """
-    pivmin = np.finfo(float).tiny * np.maximum(1.0, c2.max(axis=0))
-    # p is minus the pivot; the first one, x, is positive.
-    p = np.maximum(x, pivmin)
-    count = np.zeros(x.shape, dtype=np.intp)
-    with np.errstate(over="ignore", under="ignore"):
-        for ck in c2:
-            p = x - ck / p
-            p = np.where(np.abs(p) < pivmin, pivmin, p)
-            count += p > 0.0
-    return count
 
 
 def _floored_spectra(g: np.random.Generator, count: int, n: int, floor: float, max_attempts: int):

@@ -264,26 +264,20 @@ class TestSigmaMinBelow:
         # A zero on the diagonal makes B singular: below every positive x.
         assert np.all(got[:20, 1:]) and np.all(got[20:50, 1:])
 
-    def test_zero_pivot_meeting_a_zero_entry_is_recounted(self, monkeypatch):
+    def test_zero_pivot_meeting_a_zero_entry_restarts_the_count(self):
         # d_1 = x = 1 makes the pivot -x - d_1^2 / (-x) exactly +0, and e_1 = 0
-        # turns the next one into 0/0: NaN to the last row.  The probe at
-        # x = 1 (the first, the grid's middle point) recounts those trials
-        # with the guarded recurrence; a 0.5 or a 0.3 below makes them below.
-        d = np.array([[1.0, 0.5], [1.0, 0.3], [1.0, 2.0]])
-        e = np.array([[0.0], [0.0], [0.5]])
-        recounted = []
-
-        def recording(c2, x):
-            recounted.append(c2.shape[1])
-            return guarded(c2, x)
-
-        guarded = channel._guarded_count
-        monkeypatch.setattr(channel, "_guarded_count", recording)
+        # turns the next one into 0/0.  The zero entry splits T, so the count
+        # restarts with the pivot -x; a 0.5 or a 0.3 below makes them below.
+        # Without the restart the NaN pivots count as nonnegative, and the
+        # probe at x = 1 (the first, the grid's middle point) reads False.
+        # The last row is an exact tie, sigma_min = 1, not below 1.
+        d = np.array([[1.0, 0.5], [1.0, 0.3], [1.0, 2.0], [1.0, 3.0]])
+        e = np.array([[0.0], [0.0], [0.5], [0.0]])
         grid = (0.25, 1.0, 4.0)
         got = channel._sigma_min_below(d, e, grid)
-        assert recounted == [2]
         np.testing.assert_array_equal(got, _svd_below(d, e, grid))
         np.testing.assert_array_equal(got[:2], [[False, True, True]] * 2)
+        np.testing.assert_array_equal(got[3], [False, False, True])
 
     def test_zero_pivot_then_a_nonzero_entry(self):
         # The +0 pivot counts as nonnegative and makes the next one -inf,

@@ -519,6 +519,55 @@ class TestBerLevel:
                 assert abs(mc - ce) <= 4 * math.hypot(se_mc, se_ce), (snr, mc, ce)
 
 
+def _exact_mean_sigma_min(n):
+    """``E[sigma_min]`` of a normalized ``n x n`` CN(0, 1) channel.
+
+    ``sigma_min^2 / N`` ~ Beta(1, N^2 - 1), so the mean is
+    ``sqrt(N) Gamma(3/2) Gamma(N^2) / Gamma(N^2 + 1/2)``.
+    """
+    return math.sqrt(n) * math.exp(math.lgamma(1.5) + math.lgamma(n * n) - math.lgamma(n * n + 0.5))
+
+
+def _exact_zf_ber(n, snr_db):
+    """Unfloored ZF QPSK BER ``E[Q(sqrt(N snr B))]``, B ~ Beta(1, N^2 - 1).
+
+    Each stream's post-ZF SNR of a normalized channel is ``N snr B``.  The
+    mean is 400-node Gauss-Legendre in ``u = sqrt(b)`` on [0, 1], where the
+    integrand ``Q(sqrt(N snr) u) 2u (N^2 - 1) (1 - u^2)^(N^2 - 2)`` is smooth;
+    100 and 2000 nodes agree with it to 2e-13 relative at N = 4.
+    """
+    x, w = np.polynomial.legendre.leggauss(400)
+    u, w, m = 0.5 * (x + 1.0), 0.5 * w, n * n - 1
+    density = 2.0 * u * m * (1.0 - u * u) ** (m - 1)
+    return float(np.sum(w * density * _q(np.sqrt(n * 10.0 ** (snr_db / 10.0)) * u)))
+
+
+class TestExactReferences:
+    """Runner outputs against closed forms of the normalized ensemble.
+
+    Each z-score is an estimate less its exact value, over the row's
+    standard error, and a test fails when some |z| exceeds 4.5: under the
+    law that happens with probability below 7e-6 a row, so about 2e-5 for
+    the three rows of a test at a fresh seed.  At these seeds the largest
+    |z| is 1.7.  A normalization scaled by 1.01 moves ``mean_sigma_min``
+    to z = 10.6, 9.1 and 10.2 at N = 2, 4 and 8, and doubling the
+    unfloored noise variance moves the ZF BER to z = 112, 158 and 75.
+    """
+
+    def test_mean_sigma_min(self):
+        assert [round(_exact_mean_sigma_min(n), 4) for n in (2, 4, 8)] == [0.6465, 0.4466, 0.3139]
+        rows = run_table1([2, 4, 8], trials=196608, master_seed=5).rows
+        z = [(r["mean_sigma_min"] - _exact_mean_sigma_min(r["n"])) / r["se_sigma_min"] for r in rows]
+        assert np.max(np.abs(z)) <= 4.5, z
+
+    def test_unfloored_zf_ber(self):
+        exact = [_exact_zf_ber(4, snr) for snr in (0.0, 10.0, 20.0)]
+        np.testing.assert_allclose(exact, [0.331786, 0.123808, 0.017816], atol=1e-6)
+        table = run_ber_sweep(4, [0.0, 10.0, 20.0], trials=200000, master_seed=11)
+        z = [(r["ber"] - p) / r["se_ber"] for r, p in zip(table.select(detector="zf"), exact)]
+        assert np.max(np.abs(z)) <= 4.5, z
+
+
 class TestRunCondRatioSweep:
     def test_fig5_operating_point(self, condratio_table):
         row = condratio_table.select(sigma_min=0.1)[0]
