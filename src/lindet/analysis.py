@@ -16,7 +16,8 @@ MMSE detection on a known channel spectrum:
   the MMSE filter, ``(a + b) / (v (N + 1) c + N b - a)`` with the spectral
   sums ``a``, ``b``, ``c`` defined in :func:`mmse_abc`; ``N b - a`` is
   evaluated as a sum of squares rather than as written, which would cancel
-  catastrophically at small noise.
+  catastrophically at small noise.  One kernel gives both SNRs and the
+  sums, with the same bits for one spectrum and a stack.
 
 Infinite SNR is a first-class value (``math.inf``), not an exception: the
 zero-noise limits are analytically meaningful and both detectors diverge
@@ -38,6 +39,8 @@ from . import linalg
 from .channel import NoiseModel
 from .detection import _filters, _guarded_channel
 from .exceptions import DimensionError, SingularMatrixError
+
+_SQRT_MAX = math.sqrt(np.finfo(float).max)  # largest s_1^2 + v with a finite square
 
 
 @dataclass(frozen=True)
@@ -159,57 +162,43 @@ def _filter_conds(h: np.ndarray, variance) -> np.ndarray:
     return sv[..., 0] / sv[..., -1]
 
 
-def _zf_snr(s: np.ndarray, variance):
-    """ZF SNR ``N / sum_i(v / s_i^2)`` along the last axis, without validation.
+def _snr_sums(s: np.ndarray, variance):
+    """ZF SNR, MMSE SNR and the sums ``(a, b, c)`` of :class:`MmseAbc`, in one pass; unchecked.
 
-    ``s`` is one spectrum ``(N,)`` or a stack ``(..., N)`` of them; the
-    result has the leading shape.  ``variance`` is a scalar or one variance
-    per spectrum.  Zero singular values or zero noise give IEEE infinities
-    or NaNs.
-    """
-    return s.shape[-1] / np.sum(np.asarray(variance)[..., None] / (s * s), axis=-1)
-
-
-def _spectral_sums(s: np.ndarray, variance):
-    """Sums ``a``, ``b``, ``c`` of :class:`MmseAbc` along the last axis.
-
-    ``s`` is one spectrum ``(N,)`` or a stack ``(..., N)``; each sum has
-    the leading shape, and ``variance`` is a scalar or of that shape.  No
-    validation.
-    """
-    s2 = s * s
-    v = np.asarray(variance)[..., None]
-    t = s2 / (s2 + v)
-    # On a stack ``** 2`` squares by multiplication; on one spectrum the sum
-    # is a NumPy scalar and ``** 2`` goes through pow(), which may round the
-    # last bit differently.  Both roundings are part of the pinned outputs.
-    a = np.sum(t, axis=-1) ** 2
-    b = np.sum(t * t, axis=-1)
-    c = np.sum(s2 / (s2 + v) ** 2, axis=-1)
-    return a, b, c
-
-
-def _mmse_snr_terms(s: np.ndarray, variance):
-    """Numerator ``a + b`` and denominator ``v (N + 1) c + N b - a`` of the MMSE SNR.
-
-    Evaluated along the last axis of one spectrum ``(N,)`` or a stack
-    ``(..., N)``, with a scalar ``variance`` or one per spectrum, without
-    validation.  ``N b - a`` equals
-    ``N sum_i (u_i - mean(u))^2`` with ``u_i = v / (s_i^2 + v) = 1 - t_i``;
-    that form is a sum of squares of small, accurately computed terms, while
-    ``N b - a`` subtracts two nearly equal numbers as ``v`` vanishes.
+    ``s`` is one spectrum ``(N,)`` or a stack ``(..., N)``, and every result
+    has the leading shape; ``variance`` is a scalar or one per spectrum.
+    ``N b - a`` is evaluated as ``N sum_i (u_i - mean(u))^2`` with
+    ``u_i = v / (s_i^2 + v) = 1 - t_i``, a sum of squares of accurately
+    computed terms, where ``N b - a`` would cancel as ``v`` vanishes.  ``a``
+    squares ``sum t_i`` by multiplication, so one spectrum and a stack round
+    alike.  IEEE infinities and NaNs (0/0 for the MMSE SNR of a channel
+    that carries nothing) stand for zeros and overflows, without warnings.
     """
     n = s.shape[-1]
-    a, b, c = _spectral_sums(s, variance)
-    v = np.asarray(variance)
-    u = v[..., None] / (s * s + v[..., None])
-    spread = np.sum((u - np.mean(u, axis=-1, keepdims=True)) ** 2, axis=-1)
-    return a + b, v * (n + 1) * c + n * spread
+    v = np.asarray(variance)[..., None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s2 = s * s
+        zf = n / np.sum(v / s2, axis=-1)
+        w = s2 + v
+        c = np.sum(s2 / (w * w), axis=-1)
+        # t, t^2 and u overwrite s^2 and s^2 + v once they are last read
+        t = np.divide(s2, w, out=s2)
+        a = np.sum(t, axis=-1)
+        a = a * a
+        b = np.sum(np.multiply(t, t, out=t), axis=-1)
+        u = np.divide(v, w, out=w)
+        u -= np.mean(u, axis=-1, keepdims=True)
+        spread = np.sum(np.multiply(u, u, out=u), axis=-1)
+        mmse = (a + b) / (v[..., 0] * (n + 1) * c + n * spread)
+    return zf, mmse, (a, b, c)
 
 
 def _mmse_spectrum(spectrum, noise: NoiseModel) -> np.ndarray:
-    """Validated spectrum on which every ``s_i^2 + v`` is nonzero."""
+    """Validated spectrum on which every ``s_i^2 + v`` is nonzero and squares finitely."""
     s = linalg.as_spectrum(spectrum)
+    largest = float(s[0]) * float(s[0]) + noise.variance
+    if not largest <= _SQRT_MAX:
+        raise ValueError(f"s_1^2 + v = {largest:.4g} above {_SQRT_MAX:.4g}: its square overflows")
     if s[-1] * s[-1] + noise.variance == 0.0:
         raise SingularMatrixError(
             "zero singular value with zero noise variance",
@@ -235,12 +224,15 @@ def snr_zf(spectrum, noise: NoiseModel) -> float:
         )
     if noise.variance == 0.0:
         return math.inf
-    return float(_zf_snr(s, noise.variance))
+    return float(_snr_sums(s, noise.variance)[0])
 
 
 def mmse_abc(spectrum, noise: NoiseModel) -> MmseAbc:
-    """Spectral sums ``a``, ``b``, ``c`` for the MMSE post-processing SNR."""
-    a, b, c = _spectral_sums(_mmse_spectrum(spectrum, noise), noise.variance)
+    """Spectral sums ``a``, ``b``, ``c`` for the MMSE post-processing SNR.
+
+    The scale rule of :func:`snr_mmse` applies.
+    """
+    _, _, (a, b, c) = _snr_sums(_mmse_spectrum(spectrum, noise), noise.variance)
     return MmseAbc(a=float(a), b=float(b), c=float(c))
 
 
@@ -249,15 +241,17 @@ def snr_mmse(spectrum, noise: NoiseModel) -> float:
 
     Evaluates ``(a + b) / (v (N + 1) c + N b - a)``, with ``N b - a``
     computed as the spread ``N sum_i (u_i - mean(u))^2`` of
-    ``u_i = v / (s_i^2 + v)``, which does not cancel.  The denominator is a
-    sum of nonnegative terms; it is zero only for zero noise, where the
-    MMSE and ZF SNRs both diverge, and that returns ``math.inf``.
+    ``u_i = v / (s_i^2 + v)``, which does not cancel.  Zero noise, where the
+    MMSE and ZF SNRs both diverge, returns ``math.inf``; a channel that
+    carries nothing (``a + b`` is 0) returns 0.0, the limit as ``s -> 0``.
+    ``s_1^2 + v`` above about ``1.34e154``, where its square overflows,
+    raises ``ValueError``.
     """
     s = _mmse_spectrum(spectrum, noise)
-    numerator, denominator = _mmse_snr_terms(s, noise.variance)
-    if denominator == 0.0:
+    if noise.variance == 0.0:
         return math.inf
-    return float(numerator / denominator)
+    _, mmse, (a, b, _) = _snr_sums(s, noise.variance)
+    return 0.0 if a + b == 0.0 else float(mmse)
 
 
 def gain_db(snr_mmse_lin: float, snr_zf_lin: float) -> float:

@@ -131,7 +131,4 @@ def _filters(h: np.ndarray, *variances) -> list[np.ndarray]:
     hh = h.conj().swapaxes(-1, -2)
     gram = hh @ h
     eye = np.eye(h.shape[-1])
-    return [
-        np.linalg.solve(gram + np.asarray(v)[..., None, None] * eye if np.any(v) else gram, hh)
-        for v in variances
-    ]
+    return [np.linalg.solve(gram + np.asarray(v)[..., None, None] * eye, hh) for v in variances]

@@ -69,9 +69,8 @@ from . import linalg
 from ._version import __version__
 from .analysis import (
     _gain_db,
-    _mmse_snr_terms,
+    _snr_sums,
     _spectral_conds,
-    _zf_snr,
     cond_ratio_approx,
     edelman_tail,
 )
@@ -393,10 +392,8 @@ def run_table1(
 
 
 def _gain_block(g, n, variance, count):
-    s = _gaussian_spectra(g, count, n)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        numerator, denominator = _mmse_snr_terms(s, variance)
-        gain = _gain_db(numerator / denominator, _zf_snr(s, variance))
+    zf, mmse, _ = _snr_sums(_gaussian_spectra(g, count, n), variance)
+    gain = _gain_db(mmse, zf)
     return (gain[np.isfinite(gain)],)
 
 

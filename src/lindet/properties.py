@@ -113,9 +113,8 @@ def check_snr_ordering(master_seed: int = 106, samples: int = 500) -> PropertyRe
     for n, k in _stacks(g.integers(2, 9, size=samples)):
         s = np.sort(g.uniform(0.05, 3.0, size=(k, n)))[..., ::-1]
         variance = g.uniform(1e-4, 10.0, size=k)
-        z = analysis._zf_snr(s, variance)
-        numerator, denominator = analysis._mmse_snr_terms(s, variance)
-        worst = max(worst, float(np.max((z - numerator / denominator) / z)))
+        z, m, _ = analysis._snr_sums(s, variance)
+        worst = max(worst, float(np.max((z - m) / z)))
     return _result(
         "snr_mmse_dominates_snr_zf",
         worst <= 1e-9,
@@ -130,8 +129,8 @@ def check_snr_zero_noise_limit(master_seed: int = 107, samples: int = 100) -> Pr
     worst = 0.0
     for n, k in _stacks(g.integers(2, 9, size=samples)):
         s = np.sort(g.uniform(0.1, 3.0, size=(k, n)))[..., ::-1]
-        numerator, denominator = analysis._mmse_snr_terms(s, 1e-6)
-        ratio = numerator / denominator / analysis._zf_snr(s, 1e-6)
+        z, m, _ = analysis._snr_sums(s, 1e-6)
+        ratio = m / z
         ok = ok and bool(np.all((1.0 - 1e-12 <= ratio) & (ratio <= 1.0 + 1e-4)))
         worst = max(worst, float(np.max(np.abs(ratio - 1.0))))
     return _result(
@@ -191,7 +190,7 @@ def check_mmse_abc_inequality(master_seed: int = 110, samples: int = 500) -> Pro
     worst = worst_n1 = -math.inf
     for n, k in _stacks(g.integers(1, 10, size=samples)):
         s = np.sort(g.uniform(0.01, 5.0, size=(k, n)))[..., ::-1]
-        a, b, _ = analysis._spectral_sums(s, g.uniform(0.0, 10.0, size=k))
+        _, _, (a, b, _) = analysis._snr_sums(s, g.uniform(0.0, 10.0, size=k))
         excess = float(np.max(b - a))
         if n == 1:
             worst_n1 = excess

@@ -23,6 +23,9 @@ WORKED_C = 1.1386210988897585
 WORKED_SNR_MMSE = 15.319042871385843
 WORKED_GAIN_DB = 0.09140372516297657
 
+# The floating-point errors NumPy warns about by default; underflow is silent.
+RAISE_ON_WARNINGS = dict(divide="raise", over="raise", invalid="raise")
+
 # Scales of TestGuardScaleLimits.H0 that the public filters' guard accepts.
 GUARD_SCALES_IN_RANGE = (1e-153, 1e-150, 1.0, 1e150, 1e153)
 
@@ -248,6 +251,14 @@ class TestSnrZf:
         with pytest.raises(SingularMatrixError):
             analysis.snr_zf([1.0, 0.0], NoiseModel(0.1))
 
+    def test_negligible_spectrum_reads_zero_without_warnings(self):
+        with np.errstate(**RAISE_ON_WARNINGS):
+            assert analysis.snr_zf([1e-170, 1e-170], NoiseModel(1.0)) == 0.0
+
+    def test_answers_beyond_the_mmse_scale_rule(self):
+        with np.errstate(**RAISE_ON_WARNINGS):
+            assert analysis.snr_zf([1e100, 1e100], NoiseModel(1.0)) == pytest.approx(1e200)
+
 
 class TestMmseAbc:
     def test_zero_noise_reduces(self):
@@ -308,37 +319,73 @@ class TestSnrMmse:
         assert m / analysis.snr_zf([1.5, 0.5], noise) == pytest.approx(1.0, abs=1e-9)
 
 
+    @pytest.mark.parametrize("spectrum", [[0.0, 0.0], [1e-170, 1e-170]])
+    def test_channel_carrying_nothing_reads_zero(self, spectrum):
+        # a + b and the denominator are both 0; the formula tends to 0 as s -> 0
+        with np.errstate(**RAISE_ON_WARNINGS):
+            assert analysis.snr_mmse(spectrum, NoiseModel(1.0)) == 0.0
+
+    def test_zero_noise_infinite_when_a_square_is_subnormal(self):
+        # s_N^2 = 1e-320 is nonzero, but c = sum 1/s_i^2 overflows
+        with np.errstate(**RAISE_ON_WARNINGS):
+            assert analysis.snr_mmse([1.0, 1e-160], NoiseModel(0.0)) == math.inf
+
+
+class TestMmseScaleRule:
+    """``snr_mmse`` and ``mmse_abc`` take ``s_1^2 + v`` up to sqrt(max double), about 1.34e154."""
+
+    @pytest.mark.parametrize(
+        "spectrum, variance, expected", [([1e77, 1.0], 1.0, 3.5), ([1.0, 1.0], 1e150, 1e-150)]
+    )
+    def test_inside_the_rule(self, spectrum, variance, expected):
+        with np.errstate(**RAISE_ON_WARNINGS):
+            assert analysis.snr_mmse(spectrum, NoiseModel(variance)) == pytest.approx(
+                expected, rel=1e-15
+            )
+
+    def test_edge_of_the_rule(self):
+        edge = math.sqrt(np.finfo(float).max)
+        with np.errstate(**RAISE_ON_WARNINGS):
+            abc = analysis.mmse_abc([1.0, 1.0], NoiseModel(edge))
+        assert 0.0 < abc.c < math.inf
+        with pytest.raises(ValueError, match="overflows"):
+            analysis.mmse_abc([1.0, 1.0], NoiseModel(math.nextafter(edge, math.inf)))
+
+    @pytest.mark.parametrize(
+        "spectrum, variance", [([1e100, 1e100], 1.0), ([1.0, 1.0], 1e160), ([1e160, 1.0], 1.0)]
+    )
+    @pytest.mark.parametrize("function", [analysis.snr_mmse, analysis.mmse_abc])
+    def test_outside_the_rule_raises(self, function, spectrum, variance):
+        with np.errstate(**RAISE_ON_WARNINGS), pytest.raises(ValueError, match="overflows"):
+            function(spectrum, NoiseModel(variance))
+
+
 class TestBatchedSnrKernels:
     def test_per_spectrum_variances_match_one_spectrum_calls(self):
         g = RngStream(68).generator()
         spectra = np.sort(g.uniform(0.05, 3.0, size=(9, 4)))[:, ::-1]
         variances = g.uniform(1e-4, 10.0, size=9)
-        zf = analysis._zf_snr(spectra, variances)
-        terms = analysis._mmse_snr_terms(spectra, variances)
-        sums = analysis._spectral_sums(spectra, variances)
+        zf, mmse, sums = analysis._snr_sums(spectra, variances)
         for k, v in enumerate(variances):
             one = spectra[k : k + 1]
-            assert zf[k] == analysis._zf_snr(one, v)[0] == analysis.snr_zf(spectra[k], NoiseModel(v))
-            assert [x[k] for x in terms] == [x[0] for x in analysis._mmse_snr_terms(one, v)]
-            assert [x[k] for x in sums] == [x[0] for x in analysis._spectral_sums(one, v)]
+            one_zf, one_mmse, one_sums = analysis._snr_sums(one, v)
+            assert zf[k] == one_zf[0] == analysis.snr_zf(spectra[k], NoiseModel(v))
+            assert mmse[k] == one_mmse[0]
+            assert [x[k] for x in sums] == [x[0] for x in one_sums]
 
     def test_stack_matches_scalar_api(self):
         g = RngStream(67).generator()
         spectra = -np.sort(-g.uniform(0.05, 3.0, size=(7, 5)), axis=1)
         v = 0.2
-        zf = analysis._zf_snr(spectra, v)
-        numerator, denominator = analysis._mmse_snr_terms(spectra, v)
-        a, b, c = analysis._spectral_sums(spectra, v)
-        assert zf.shape == numerator.shape == a.shape == (7,)
+        zf, mmse, (a, b, c) = analysis._snr_sums(spectra, v)
+        assert zf.shape == mmse.shape == a.shape == (7,)
         for k, s in enumerate(spectra):
             noise = NoiseModel(v)
             assert zf[k] == analysis.snr_zf(s, noise)
-            # a stack squares sum(t) by multiplication, one spectrum by pow()
+            # one spectrum and a stack square sum(t) alike, by multiplication
             abc = analysis.mmse_abc(s, noise)
-            assert (a[k], b[k], c[k]) == pytest.approx((abc.a, abc.b, abc.c), rel=1e-15)
-            assert numerator[k] / denominator[k] == pytest.approx(
-                analysis.snr_mmse(s, noise), rel=1e-13
-            )
+            assert (a[k], b[k], c[k]) == (abc.a, abc.b, abc.c)
+            assert mmse[k] == analysis.snr_mmse(s, noise)
 
 
 class TestGainDb:

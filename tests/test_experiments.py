@@ -542,16 +542,43 @@ def _exact_zf_ber(n, snr_db):
     return float(np.sum(w * density * _q(np.sqrt(n * 10.0 ** (snr_db / 10.0)) * u)))
 
 
+def _exact_mean_gain_n2(snr_db):
+    """Mean MMSE-over-ZF gain (dB) of ``run_gain_sweep`` at N = 2, ``E[g(B)]``.
+
+    The normalization fixes ``lambda_1 + lambda_2 = 4`` for the squared
+    singular values, and ``B = lambda_2 / 2`` ~ Beta(1, 3), so
+    ``lambda_1 = 4 - 2B``.  The N = 2 formulas are written out here, not
+    taken from lindet: ``N b - a = (u_1 - u_2)^2`` with
+    ``u_i = v / (lambda_i + v)``.  The gain grows like ``-log b`` at
+    ``b = 0``, so the mean is 400-node Gauss-Legendre in ``b = u^4``; 100
+    and 2000 nodes agree with it to 3e-13 relative.
+    """
+    x, w = np.polynomial.legendre.leggauss(400)
+    u, w = 0.5 * (x + 1.0), 0.5 * w
+    b = u**4
+    lam = np.stack([4.0 - 2.0 * b, 2.0 * b])
+    v = 2.0 / 10.0 ** (snr_db / 10.0)
+    t, r = lam / (lam + v), v / (lam + v)
+    zf = 2.0 / np.sum(v / lam, axis=0)
+    mmse = (np.sum(t, axis=0) ** 2 + np.sum(t * t, axis=0)) / (
+        3.0 * v * np.sum(lam / (lam + v) ** 2, axis=0) + (r[0] - r[1]) ** 2
+    )
+    density = 3.0 * (1.0 - b) ** 2 * 4.0 * u**3
+    return float(np.sum(w * density * 10.0 * np.log10(mmse / zf)))
+
+
 class TestExactReferences:
     """Runner outputs against closed forms of the normalized ensemble.
 
     Each z-score is an estimate less its exact value, over the row's
     standard error, and a test fails when some |z| exceeds 4.5: under the
     law that happens with probability below 7e-6 a row, so about 2e-5 for
-    the three rows of a test at a fresh seed.  At these seeds the largest
-    |z| is 1.7.  A normalization scaled by 1.01 moves ``mean_sigma_min``
-    to z = 10.6, 9.1 and 10.2 at N = 2, 4 and 8, and doubling the
-    unfloored noise variance moves the ZF BER to z = 112, 158 and 75.
+    the three rows of a test and 2.7e-5 for the four of the gain test, at
+    a fresh seed.  At these seeds the largest |z| is 1.98.  A normalization
+    scaled by 1.01 moves ``mean_sigma_min`` to z = 10.6, 9.1 and 10.2 at
+    N = 2, 4 and 8, doubling the unfloored noise variance moves the ZF BER
+    to z = 112, 158 and 75, and an MMSE denominator with ``N`` in place of
+    ``N + 1`` moves the N = 2 gain to z >= 147.
     """
 
     def test_mean_sigma_min(self):
@@ -565,6 +592,17 @@ class TestExactReferences:
         np.testing.assert_allclose(exact, [0.331786, 0.123808, 0.017816], atol=1e-6)
         table = run_ber_sweep(4, [0.0, 10.0, 20.0], trials=200000, master_seed=11)
         z = [(r["ber"] - p) / r["se_ber"] for r, p in zip(table.select(detector="zf"), exact)]
+        assert np.max(np.abs(z)) <= 4.5, z
+
+    def test_mean_gain_n2(self):
+        snrs = (0.0, 10.0, 20.0, 30.0)
+        exact = [_exact_mean_gain_n2(snr) for snr in snrs]
+        np.testing.assert_allclose(
+            exact, [4.820790288656, 1.873572614257, 0.379318308839, 0.057871487651], rtol=1e-11
+        )
+        rows = run_gain_sweep([2], snrs, trials=200000, master_seed=7).rows
+        assert [r["n_excluded"] for r in rows] == [0] * 4
+        z = [(r["mean_gain_db"] - g) / r["se_gain_db"] for r, g in zip(rows, exact)]
         assert np.max(np.abs(z)) <= 4.5, z
 
 

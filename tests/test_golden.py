@@ -24,7 +24,9 @@ and only its condratio CSV moved.  The other hashes did not move.
 The hashes were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
 (scipy-openblas, Haswell kernels), CPython 3.11, x86_64.  Another numpy
 or BLAS build may round an SVD or a solve differently in the last bit and
-fail here without any change to lindet.
+fail here without any change to lindet; every hash assertion's message names
+the running numpy and BLAS next to these, to tell that apart from a
+regression.
 """
 
 import hashlib
@@ -88,6 +90,17 @@ GOLDEN_PLOTS = {
 }
 
 
+def _build() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (
+        f"running numpy {np.__version__} on {blas['name']} {blas['version']}; "
+        "recorded with numpy 2.4.6 on scipy-openblas 0.3.31"
+    )
+
+
+BUILD = _build()
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -103,18 +116,18 @@ def test_cli_output_bytes(case, tmp_path, capsys):
     argv = (*CLI_CASES[case], "--trials", "9000", "--seed", "3")
     one = _cli_digest(tmp_path, (*argv, "--workers", "1", "--emit-plot"), "w1.csv")
     two = _cli_digest(tmp_path, (*argv, "--workers", "2"), "w2.csv")
-    assert one == two, "CSV bytes depend on the worker count"
-    assert one == GOLDEN[case, "csv"]
+    assert one == two, f"CSV bytes depend on the worker count; {BUILD}"
+    assert one == GOLDEN[case, "csv"], BUILD
     plot = _sha256((tmp_path / "w1.csv.gnuplot").read_bytes())
-    assert plot == GOLDEN_PLOTS[CLI_CASES[case][0]]
+    assert plot == GOLDEN_PLOTS[CLI_CASES[case][0]], BUILD
     as_json = _cli_digest(tmp_path, (*argv, "--format", "json"), "out.json")
-    assert as_json == GOLDEN[case, "json"]
+    assert as_json == GOLDEN[case, "json"], BUILD
 
 
 def test_props_output_bytes(tmp_path, capsys):
     out = tmp_path / "props.csv"
     assert cli.run_cli(["props", "--seed", "0", "--out", str(out)]) == 0
-    assert _sha256(out.read_bytes()) == GOLDEN["props", "csv"]
+    assert _sha256(out.read_bytes()) == GOLDEN["props", "csv"], BUILD
 
 
 def _library_bytes(tmp_path) -> bytes:
@@ -150,4 +163,4 @@ def _library_bytes(tmp_path) -> bytes:
 
 
 def test_library_output_bytes(tmp_path):
-    assert _sha256(_library_bytes(tmp_path)) == GOLDEN["library", "bytes"]
+    assert _sha256(_library_bytes(tmp_path)) == GOLDEN["library", "bytes"], BUILD
