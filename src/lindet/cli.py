@@ -22,6 +22,14 @@ import json
 import os
 import sys
 
+# Runs get their parallelism from processes, one block per core, and
+# OpenBLAS's default extra thread only spins between the small per-slice
+# calls.  OpenBLAS reads its thread count when numpy loads, so it is set
+# here, ahead of the imports that load numpy, unless the user has set one.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+
 from ._version import __version__
 from .exceptions import LindetError
 from .experiments import (
